@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 on success, 1 on input errors (unreadable or malformed
-files), 2 on parameter errors (bad flags or out-of-range values).
+files, or a corpus that breaks an invariant of `validate_corpus`), 2 on
+parameter errors (bad flags or out-of-range values).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import click
 
 from . import dataio, description, engine, information, retrieval
 from .dataio import ParseError
-from .model import Corpus, CorpusError, ParameterError, Parameters
+from .model import Corpus, CorpusError, ParameterError, Parameters, validate_corpus
 
 _SUFFIX_FORMATS = {
     "csv": "csv",
@@ -47,14 +48,18 @@ def _load_corpus(path: str, fmt: Optional[str], with_title_tokens: bool = False)
         raise click.ClickException(f"cannot read {path}: {exc}") from exc
     try:
         if fmt == "csv":
-            return dataio.one_hot_encode(dataio.parse_csv(text))
-        if fmt == "refer":
-            return dataio.one_hot_encode(
+            corpus = dataio.one_hot_encode(dataio.parse_csv(text))
+        elif fmt == "refer":
+            corpus = dataio.one_hot_encode(
                 dataio.parse_refer(text), with_title_tokens=with_title_tokens
             )
-        return dataio.parse_matrix(text)
+        else:
+            corpus = dataio.parse_matrix(text)
+        # every subcommand enforces the corpus invariants; warnings come from run
+        corpus, _ = validate_corpus(corpus)
     except (ParseError, CorpusError) as exc:
         raise click.ClickException(str(exc)) from exc
+    return corpus
 
 
 def _unit_interval(ctx: click.Context, param: click.Parameter, value: float) -> float:

@@ -15,7 +15,10 @@ import io
 import json
 import logging
 import re
+from collections import Counter
+from collections.abc import Hashable
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from . import description
@@ -149,7 +152,8 @@ def parse_refer(text: str) -> tuple[RefRecord, ...]:
             label = f"record {position}"
         if not keywords:
             raise ParseError(f"record {label!r} has no keyword lines (%#)")
-        records.append(RefRecord(label, title, tuple(keywords)))
+        # a continued keyword can complete into an earlier one: keep the first
+        records.append(RefRecord(label, title, tuple(dict.fromkeys(keywords))))
     return tuple(records)
 
 
@@ -173,7 +177,10 @@ def one_hot_encode(
     Features appear in first-appearance order (attribute by attribute
     for tables; record by record for keywords). Features present in all
     objects or in none carry zero transmission and are dropped with a
-    logged notice.
+    logged notice. A keyword named twice in one record counts once.
+    Encoding is one pass over the cells through dict indexes, so its
+    time is linear in the corpus size. The corpus is not validated here;
+    `validate_corpus` does that.
     """
     if isinstance(source, Table):
         if with_title_tokens:
@@ -203,31 +210,17 @@ def _encode_table(table: Table) -> Corpus:
     n = len(table.rows)
     if n == 0:
         raise CorpusError("empty corpus: table has no rows")
-    specs: list[tuple[str, str, int]] = []  # (attribute, value, column)
-    for col, attr in enumerate(table.attributes):
-        seen: list[str] = []
-        for row in table.rows:
-            value = row[col]
-            if value and value not in seen:
-                seen.append(value)
-        specs.extend((attr, value, col) for value in seen)
-    if not specs:
-        raise CorpusError("empty corpus: no attribute values observed")
-    counts = [
-        sum(1 for row in table.rows if row[col] == value) for _, value, col in specs
+    per_row = [
+        tuple((col, value) for col, value in enumerate(row) if value) for row in table.rows
     ]
-    kept = _keep_informative([(a, v) for a, v, _ in specs], counts, n)
-    space = FeatureSpace(tuple((specs[i][0], specs[i][1]) for i in kept))
+    counts = Counter(chain.from_iterable(per_row))  # first-appearance order
+    if not counts:
+        raise CorpusError("empty corpus: no attribute values observed")
+    # attribute by attribute; the stable sort keeps each one's values in first-appearance order
+    ordered = sorted(counts, key=lambda key: key[0])
+    features = [(table.attributes[col], value) for col, value in ordered]
     labels = table.labels or tuple(f"row{i + 1}" for i in range(n))
-    objects = tuple(
-        ObjectInstance(
-            i,
-            labels[i],
-            tuple(1 if table.rows[i][specs[k][2]] == specs[k][1] else 0 for k in kept),
-        )
-        for i in range(n)
-    )
-    return Corpus(space, objects)
+    return _assemble(per_row, ordered, features, [counts[key] for key in ordered], labels)
 
 
 def _encode_keywords(
@@ -235,30 +228,43 @@ def _encode_keywords(
 ) -> Corpus:
     if not records:
         raise CorpusError("empty corpus: no records")
-    n = len(records)
-    per_record: list[list[tuple[str, str]]] = []
+    per_record: list[tuple[tuple[str, str], ...]] = []
     for record in records:
         keys = [(keyword, keyword) for keyword in record.keywords]
         if with_title_tokens:
             keys.extend(("title", token) for token in title_tokens(record))
-        per_record.append(keys)
-    ordered: list[tuple[str, str]] = []
-    for keys in per_record:
+        per_record.append(tuple(dict.fromkeys(keys)))
+    counts = Counter(chain.from_iterable(per_record))  # first-appearance order
+    ordered = list(counts)
+    labels = [record.label for record in records]
+    return _assemble(per_record, ordered, ordered, list(counts.values()), labels)
+
+
+def _assemble(
+    per_object: Sequence[tuple[Hashable, ...]],
+    ordered: Sequence[Hashable],
+    features: Sequence[tuple[str, str]],
+    counts: Sequence[int],
+    labels: Sequence[str],
+) -> Corpus:
+    """Keep the informative features and set each object's bits from its own keys.
+
+    ordered[i] is the key of features[i], held by counts[i] objects; no
+    object holds a key twice.
+    """
+    kept = _keep_informative(features, counts, len(per_object))
+    space = FeatureSpace(tuple(features[i] for i in kept))
+    column = {ordered[k]: j for j, k in enumerate(kept)}
+    width = len(kept)
+    objects: list[ObjectInstance] = []
+    for i, keys in enumerate(per_object):
+        bits = [0] * width
         for key in keys:
-            if key not in ordered:
-                ordered.append(key)
-    counts = [sum(1 for keys in per_record if key in keys) for key in ordered]
-    kept = _keep_informative(ordered, counts, n)
-    space = FeatureSpace(tuple(ordered[i] for i in kept))
-    objects = tuple(
-        ObjectInstance(
-            i,
-            records[i].label,
-            tuple(1 if ordered[k] in per_record[i] else 0 for k in kept),
-        )
-        for i in range(n)
-    )
-    return Corpus(space, objects)
+            j = column.get(key)
+            if j is not None:
+                bits[j] = 1
+        objects.append(ObjectInstance(i, labels[i], tuple(bits)))
+    return Corpus(space, tuple(objects))
 
 
 def parse_matrix(text: str) -> Corpus:

@@ -146,12 +146,26 @@ class Corpus:
         return self.objects[idx]
 
 
+_BINARY = frozenset((0, 1))
+
+
+def _is_binary(bits: tuple[int, ...]) -> bool:
+    try:
+        return _BINARY.issuperset(bits)
+    except TypeError:  # an unhashable bit; the walk below names it
+        return False
+
+
 def validate_corpus(corpus: Corpus) -> tuple[Corpus, list[str]]:
     """Check corpus invariants; return the corpus and a list of warnings.
 
-    Errors (raised as CorpusError) name the offending object or feature.
+    Errors (raised as CorpusError) name the first offending object, in
+    input order, and what is wrong with it: a non-dense id, a duplicate
+    label, a row of the wrong width, or a bit other than 0 or 1.
     Features constant across all objects are flagged in the warning list
-    but never removed.
+    but never removed. Rows are checked whole with a set test and
+    columns summed lazily; an object's bits are walked one by one only
+    to name its first bad bit, so the check is linear in the cells.
     """
     objs = corpus.objects
     if not objs:
@@ -173,18 +187,21 @@ def validate_corpus(corpus: Corpus) -> tuple[Corpus, list[str]]:
             raise CorpusError(
                 f"object {obj.label!r}: expected {width} bits, got {len(obj.bits)}"
             )
-        for f, b in enumerate(obj.bits):
-            if b not in (0, 1):
-                raise CorpusError(f"object {obj.label!r}: bit {f} is {b!r}, expected 0 or 1")
+        if not _is_binary(obj.bits):
+            for f, b in enumerate(obj.bits):
+                if b not in (0, 1):
+                    raise CorpusError(
+                        f"object {obj.label!r}: bit {f} is {b!r}, expected 0 or 1"
+                    )
     warnings: list[str] = []
-    if len(objs) >= 2:
-        for f in range(width):
-            column = {obj.bits[f] for obj in objs}
-            if len(column) == 1:
-                value = column.pop()
-                warnings.append(
-                    f"feature {f} constant ({corpus.space.labels[f]!r} is {value} in every object)"
-                )
+    n = len(objs)
+    if n >= 2:
+        first = objs[0].bits
+        column_sums = map(sum, zip(*(obj.bits for obj in objs)))
+        for f, total in enumerate(column_sums):
+            if total == 0 or total == n:
+                label = corpus.space.labels[f]
+                warnings.append(f"feature {f} constant ({label!r} is {first[f]} in every object)")
     return corpus, warnings
 
 

@@ -200,3 +200,43 @@ class TestInfo:
         result = runner.invoke(main, ["info", "--input", str(path)])
         assert result.exit_code == 0
         assert "objects: 3  features: 4" in result.output
+
+
+DUPLICATE_LABEL_MATRIX = "a,1,1,0,0\nb,1,1,0,1\na,1,1,0,0\nc,0,0,1,1\n"
+
+
+class TestCorpusValidation:
+    """Every subcommand enforces the corpus invariants with the same exit code."""
+
+    @pytest.fixture()
+    def duplicate_file(self, tmp_path):
+        path = tmp_path / "dup.matrix"
+        path.write_text(DUPLICATE_LABEL_MATRIX, encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["query", "--seed", "a"],
+            ["query", "--rule", "1:f0,f3"],
+            ["info"],
+            ["cluster"],
+        ],
+        ids=["query-seed", "query-rule", "info", "cluster"],
+    )
+    def test_duplicate_label_exits_1(self, runner, duplicate_file, argv):
+        result = runner.invoke(main, [*argv, "--input", duplicate_file])
+        assert result.exit_code == 1
+        assert "duplicate label 'a' (objects 0 and 2)" in result.output
+        # nothing is listed or dumped before the error
+        assert "\t" not in result.output
+
+    def test_constant_feature_warned_once_by_cluster_only(self, runner, tmp_path):
+        path = tmp_path / "const.matrix"
+        path.write_text("a,1,0,1\nb,1,1,0\nc,1,1,1\n", encoding="utf-8")
+        clustered = runner.invoke(main, ["cluster", "--input", str(path)])
+        assert clustered.exit_code == 0
+        assert clustered.output.count("warning: feature 0 constant") == 1
+        dumped = runner.invoke(main, ["info", "--input", str(path)])
+        assert dumped.exit_code == 0
+        assert "warning" not in dumped.output

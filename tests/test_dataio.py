@@ -12,7 +12,9 @@ from conftest import bits_corpus
 from polyclust import datasets, emit_json, run
 from polyclust.dataio import (
     ParseError,
+    RefRecord,
     Table,
+    _keep_informative,
     decode_table,
     one_hot_encode,
     parse_csv,
@@ -21,7 +23,7 @@ from polyclust.dataio import (
     title_tokens,
 )
 from polyclust.description import report_record
-from polyclust.model import CorpusError, Parameters
+from polyclust.model import Corpus, CorpusError, FeatureSpace, ObjectInstance, Parameters
 
 
 EXPECTED_KEYWORD_COUNTS = {
@@ -95,6 +97,21 @@ class TestParseRefer:
         text = "% something alpha 9\n%T A title\n%# 1: KEY\n\n% other beta 3\n%T Bare\n"
         with pytest.raises(ParseError, match="beta 3"):
             parse_refer(text)
+
+    def test_continued_keyword_equal_to_an_earlier_one_is_dropped(self):
+        text = (
+            "% rec one\n%# 1: VISUAL SEARCH\n%# 2: VISUAL\nSEARCH\n%# 3: MEMORY\n\n"
+            "% rec two\n%# 1: MEMORY\n"
+        )
+        records = parse_refer(text)
+        assert records[0].keywords == ("VISUAL SEARCH", "MEMORY")
+        corpus = one_hot_encode(records)
+        assert corpus.space.features == (("VISUAL SEARCH", "VISUAL SEARCH"),)
+        assert [obj.bits for obj in corpus.objects] == [(1,), (0,)]
+
+    def test_continued_keyword_completes_across_lines(self):
+        text = "% rec\n%# 1: VISUAL SEARCH\n%# 2: VISUAL\nSEARCH\nTASK\n"
+        assert parse_refer(text)[0].keywords == ("VISUAL SEARCH", "VISUAL SEARCH TASK")
 
     def test_empty_input(self):
         with pytest.raises(ParseError, match="no records"):
@@ -255,4 +272,159 @@ class TestEmitJson:
         params = Parameters(0.005, 0.05)
         assert emit_json(run(abstracts_corpus, params)) == emit_json(
             run(abstracts_corpus, params)
+        )
+
+
+# The list-scan encoders that the single-pass ones replaced, kept as
+# oracles: a list membership test per (object, feature) pair, so they are
+# quadratic, but obviously in first-appearance order.
+
+
+def _oracle_encode_table(table: Table) -> Corpus:
+    n = len(table.rows)
+    if n == 0:
+        raise CorpusError("empty corpus: table has no rows")
+    specs: list[tuple[str, str, int]] = []
+    for col, attr in enumerate(table.attributes):
+        seen: list[str] = []
+        for row in table.rows:
+            value = row[col]
+            if value and value not in seen:
+                seen.append(value)
+        specs.extend((attr, value, col) for value in seen)
+    if not specs:
+        raise CorpusError("empty corpus: no attribute values observed")
+    counts = [sum(1 for row in table.rows if row[col] == value) for _, value, col in specs]
+    kept = _keep_informative([(a, v) for a, v, _ in specs], counts, n)
+    space = FeatureSpace(tuple((specs[i][0], specs[i][1]) for i in kept))
+    labels = table.labels or tuple(f"row{i + 1}" for i in range(n))
+    objects = tuple(
+        ObjectInstance(
+            i,
+            labels[i],
+            tuple(1 if table.rows[i][specs[k][2]] == specs[k][1] else 0 for k in kept),
+        )
+        for i in range(n)
+    )
+    return Corpus(space, objects)
+
+
+def _oracle_encode_keywords(records: tuple[RefRecord, ...], with_title_tokens: bool) -> Corpus:
+    if not records:
+        raise CorpusError("empty corpus: no records")
+    n = len(records)
+    per_record: list[list[tuple[str, str]]] = []
+    for record in records:
+        keys = [(keyword, keyword) for keyword in record.keywords]
+        if with_title_tokens:
+            keys.extend(("title", token) for token in title_tokens(record))
+        per_record.append(keys)
+    ordered: list[tuple[str, str]] = []
+    for keys in per_record:
+        for key in keys:
+            if key not in ordered:
+                ordered.append(key)
+    counts = [sum(1 for keys in per_record if key in keys) for key in ordered]
+    kept = _keep_informative(ordered, counts, n)
+    space = FeatureSpace(tuple(ordered[i] for i in kept))
+    objects = tuple(
+        ObjectInstance(
+            i, records[i].label, tuple(1 if ordered[k] in per_record[i] else 0 for k in kept)
+        )
+        for i in range(n)
+    )
+    return Corpus(space, objects)
+
+
+def _outcome(encode, caplog):
+    """What an encoder produced: corpus parts or error, plus its log records in order."""
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="polyclust.dataio"):
+        try:
+            corpus = encode()
+            made = (
+                corpus.space.features,
+                tuple((obj.id, obj.label, obj.bits) for obj in corpus.objects),
+            )
+        except CorpusError as exc:
+            made = ("CorpusError", str(exc))
+    logged = [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+    return made, logged
+
+
+_WORDS = ("visual", "search", "memory", "imagery", "recall", "models", "of", "a", "word")
+
+
+def _random_records(rng: random.Random) -> tuple[RefRecord, ...]:
+    vocabulary = [f"KEY {i}" for i in range(rng.randint(1, 12))] + ["VISUAL SEARCH", "MEMORY"]
+    universal = rng.random() < 0.5
+    records = []
+    for i in range(rng.randint(1, 14)):
+        # drawn with replacement, so a record can name a keyword twice
+        keywords = [rng.choice(vocabulary) for _ in range(rng.randint(1, 6))]
+        if universal:
+            keywords.insert(rng.randint(0, len(keywords)), "EVERYWHERE")
+        title = " ".join(rng.choice(_WORDS) for _ in range(rng.randint(0, 6)))
+        records.append(RefRecord(f"record {i}", title, tuple(keywords)))
+    return tuple(records)
+
+
+def _random_table(rng: random.Random) -> Table:
+    width = rng.randint(1, 5)
+    attributes = [f"attr{a}" for a in range(width)]
+    pools = [
+        [f"v{v}" for v in range(rng.randint(1, 4))] for _ in attributes
+    ]  # a one-value pool with no blanks gives a constant attribute
+    blank = [rng.choice((0.0, 0.0, 0.2, 1.0)) for _ in attributes]
+    lines = [",".join(["label", *attributes])]
+    for i in range(rng.randint(1, 12)):
+        cells = [
+            "" if rng.random() < blank[a] else rng.choice(pools[a]) for a in range(width)
+        ]
+        lines.append(",".join([f"obj{i}", *cells]))
+    return parse_csv("\n".join(lines) + "\n")
+
+
+class TestEncodersAgreeWithListScanOracle:
+    @pytest.mark.parametrize("with_title_tokens", [False, True])
+    def test_random_refer_records(self, caplog, with_title_tokens):
+        rng = random.Random(f"refer-differential:{with_title_tokens}")
+        outcomes = set()
+        for _ in range(300):
+            records = _random_records(rng)
+            got = _outcome(
+                lambda: one_hot_encode(records, with_title_tokens=with_title_tokens), caplog
+            )
+            want = _outcome(lambda: _oracle_encode_keywords(records, with_title_tokens), caplog)
+            assert got == want, records
+            outcomes.add((got[0][0] == "CorpusError", bool(got[1])))
+        # the suite reached errors, clean encodings and encodings with drop notices
+        assert outcomes >= {(True, True), (False, False), (False, True)}
+
+    def test_random_csv_tables(self, caplog):
+        rng = random.Random("csv-differential")
+        outcomes = set()
+        for _ in range(300):
+            table = _random_table(rng)
+            got = _outcome(lambda: one_hot_encode(table), caplog)
+            want = _outcome(lambda: _oracle_encode_table(table), caplog)
+            assert got == want, table
+            outcomes.add(got[0][0] if isinstance(got[0][0], str) else "ok")
+            if got[0][0] != "CorpusError":
+                outcomes.add("notice" if got[1] else "clean")
+        assert outcomes >= {"CorpusError", "ok", "notice", "clean"}
+
+    def test_parsed_refer_text_and_bundled_corpora(self, caplog):
+        for records in (datasets.abstracts_records(), parse_refer(datasets.abstracts_text())):
+            for with_title_tokens in (False, True):
+                got = _outcome(
+                    lambda: one_hot_encode(records, with_title_tokens=with_title_tokens), caplog
+                )
+                want = _outcome(
+                    lambda: _oracle_encode_keywords(records, with_title_tokens), caplog
+                )
+                assert got == want
+        table = datasets.shapes_table()
+        assert _outcome(lambda: one_hot_encode(table), caplog) == _outcome(
+            lambda: _oracle_encode_table(table), caplog
         )

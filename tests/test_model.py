@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from conftest import bits_corpus, make_category
@@ -102,6 +104,132 @@ class TestValidateCorpus:
         assert corpus.object_by_label("right").id == 1
         with pytest.raises(CorpusError, match="missing"):
             corpus.object_by_label("missing")
+
+
+def _oracle_validate(corpus: Corpus) -> tuple[Corpus, list[str]]:
+    """The per-bit validation walk that the fast path replaced, kept as an oracle."""
+    objs = corpus.objects
+    if not objs:
+        raise CorpusError("empty corpus")
+    width = len(corpus.space)
+    seen_labels: dict[str, int] = {}
+    for pos, obj in enumerate(objs):
+        if obj.id != pos:
+            raise CorpusError(
+                f"object ids must be dense input-order integers; "
+                f"object {obj.label!r} has id {obj.id}, expected {pos}"
+            )
+        if obj.label in seen_labels:
+            raise CorpusError(
+                f"duplicate label {obj.label!r} (objects {seen_labels[obj.label]} and {pos})"
+            )
+        seen_labels[obj.label] = pos
+        if len(obj.bits) != width:
+            raise CorpusError(f"object {obj.label!r}: expected {width} bits, got {len(obj.bits)}")
+        for f, b in enumerate(obj.bits):
+            if b not in (0, 1):
+                raise CorpusError(f"object {obj.label!r}: bit {f} is {b!r}, expected 0 or 1")
+    warnings: list[str] = []
+    if len(objs) >= 2:
+        for f in range(width):
+            column = {obj.bits[f] for obj in objs}
+            if len(column) == 1:
+                value = column.pop()
+                warnings.append(
+                    f"feature {f} constant ({corpus.space.labels[f]!r} is {value} in every object)"
+                )
+    return corpus, warnings
+
+
+def _validation_outcome(validate, corpus):
+    try:
+        validated, warnings = validate(corpus)
+    except CorpusError as exc:
+        return ("CorpusError", str(exc))
+    assert validated is corpus
+    return ("ok", warnings)
+
+
+# bits that are not 0 or 1 (one unhashable), and stand-ins that compare equal to them
+_BAD_BITS = (2, -1, 0.5, "1", None, [1], float("nan"))
+_EQUAL_BITS = (True, False, 1.0, 0.0)
+
+
+_ERROR_MARKERS = (
+    ("id", "dense"),
+    ("duplicate", "duplicate label"),
+    ("short", "bits, got"),
+    ("bit", "expected 0 or 1"),
+)
+
+
+def _outcome_kind(outcome) -> str:
+    status, detail = outcome
+    if status == "ok":
+        return "warned" if detail else "clean"
+    return next(kind for kind, marker in _ERROR_MARKERS if marker in detail)
+
+
+def _corrupt(rng: random.Random, objects: list[ObjectInstance]) -> None:
+    """Break one object in place: a bad or equal-valued bit, a short row, a label, an id."""
+    pos = rng.randrange(len(objects))
+    obj = objects[pos]
+    kind = rng.choice(("bit", "short", "duplicate", "id", "equal"))
+    bits = list(obj.bits)
+    if kind in ("bit", "equal") and bits:
+        pool = _BAD_BITS if kind == "bit" else _EQUAL_BITS
+        bits[rng.randrange(len(bits))] = rng.choice(pool)
+        objects[pos] = ObjectInstance(obj.id, obj.label, tuple(bits))
+    elif kind == "short":
+        short = tuple(bits[: rng.randrange(len(bits) + 1)])
+        objects[pos] = ObjectInstance(obj.id, obj.label, short)
+    elif kind == "duplicate":
+        objects[pos] = ObjectInstance(obj.id, rng.choice(objects).label, obj.bits)
+    elif kind == "id":
+        objects[pos] = ObjectInstance(rng.choice((pos + 1, pos - 1, 0)), obj.label, obj.bits)
+
+
+class TestValidateCorpusAgreesWithBitWalkOracle:
+    def test_random_corrupted_corpora(self):
+        rng = random.Random("validate-differential")
+        outcomes = set()
+        for _ in range(600):
+            width = rng.randint(1, 8)
+            n = rng.randint(1, 8)
+            density = rng.choice((0.0, 0.3, 0.5, 1.0))  # 0 and 1 make constant columns
+            objects = [
+                ObjectInstance(
+                    i, f"o{i}", tuple(int(rng.random() < density) for _ in range(width))
+                )
+                for i in range(n)
+            ]
+            for _ in range(rng.choice((0, 0, 1, 2, 3))):
+                _corrupt(rng, objects)
+            space = FeatureSpace(tuple((f"f{f}", f"f{f}") for f in range(width)))
+            corpus = Corpus(space, tuple(objects))
+            got = _validation_outcome(validate_corpus, corpus)
+            assert got == _validation_outcome(_oracle_validate, corpus), objects
+            outcomes.add(_outcome_kind(got))
+        # every kind of error, plus clean and warned corpora, was reached
+        assert outcomes == {"clean", "warned", "id", "duplicate", "short", "bit"}
+
+    def test_constant_column_of_equal_stand_ins_names_the_first(self):
+        space = FeatureSpace((("f0", "f0"), ("f1", "f1")))
+        objects = (ObjectInstance(0, "a", (True, 0)), ObjectInstance(1, "b", (1, 1.0)))
+        corpus = Corpus(space, objects)
+        assert validate_corpus(corpus) == _oracle_validate(corpus)
+        assert validate_corpus(corpus)[1] == ["feature 0 constant ('f0' is True in every object)"]
+
+    def test_first_offender_in_input_order_is_named(self):
+        space = FeatureSpace((("f0", "f0"), ("f1", "f1")))
+        objects = (
+            ObjectInstance(0, "a", (1, 0)),
+            ObjectInstance(1, "b", (0, [1])),
+            ObjectInstance(2, "c", (2, 0)),
+        )
+        with pytest.raises(CorpusError) as caught:
+            validate_corpus(Corpus(space, objects))
+        assert str(caught.value) == "object 'b': bit 1 is [1], expected 0 or 1"
 
 
 class TestParameters:
