@@ -6,6 +6,10 @@ by shared defining features. Each category comes out with a prototype
 (best member), an at-least-m-of-n membership rule, and an explicit
 contrast against every other category. The same m-of-n rule form
 doubles as a retrieval query language.
+
+The names below are the documented API; every other name stays
+importable from its submodule (``polyclust.engine``, ``polyclust.model``
+and so on).
 """
 
 from __future__ import annotations
@@ -13,112 +17,35 @@ from __future__ import annotations
 from . import datasets
 from .dataio import (
     ParseError,
-    RefRecord,
-    Table,
-    decode_table,
     emit_json,
     one_hot_encode,
     parse_csv,
     parse_matrix,
     parse_refer,
 )
-from .description import (
-    NoRuleFeatures,
-    best_member,
-    feature_frequencies,
-    misclassification,
-    polymorphous_rule,
-    render_report,
-    report_record,
-)
-from .engine import (
-    EngineState,
-    FieldValidity,
-    Mode,
-    RunResult,
-    TraceStep,
-    affinity_matrix,
-    field_valid,
-    merge_hunt,
-    object_hunt,
-    protoseed_hunt,
-    run,
-)
-from .information import (
-    PairTable,
-    affinity,
-    category_validity,
-    cohesion,
-    distinctiveness,
-    entropy,
-    object_pair_table,
-    transmission,
-)
-from .model import (
-    Category,
-    ConceptField,
-    Corpus,
-    CorpusError,
-    FeatureSpace,
-    ObjectInstance,
-    ParameterError,
-    Parameters,
-    PolymorphousRule,
-    validate_corpus,
-)
-from .retrieval import PolymorphousQuery, match, retrieve, retrieve_by_seed
+from .description import report_record
+from .engine import RunResult, run
+from .model import Corpus, CorpusError, ParameterError, Parameters
+from .retrieval import PolymorphousQuery, retrieve, retrieve_by_seed
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Category",
-    "ConceptField",
     "Corpus",
     "CorpusError",
-    "EngineState",
-    "FeatureSpace",
-    "FieldValidity",
-    "Mode",
-    "NoRuleFeatures",
-    "ObjectInstance",
-    "PairTable",
     "ParameterError",
     "Parameters",
     "ParseError",
     "PolymorphousQuery",
-    "PolymorphousRule",
-    "RefRecord",
     "RunResult",
-    "Table",
-    "TraceStep",
-    "affinity",
-    "affinity_matrix",
-    "best_member",
-    "category_validity",
-    "cohesion",
     "datasets",
-    "decode_table",
-    "distinctiveness",
     "emit_json",
-    "entropy",
-    "feature_frequencies",
-    "field_valid",
-    "match",
-    "merge_hunt",
-    "misclassification",
-    "object_hunt",
-    "object_pair_table",
     "one_hot_encode",
     "parse_csv",
     "parse_matrix",
     "parse_refer",
-    "polymorphous_rule",
-    "protoseed_hunt",
-    "render_report",
     "report_record",
     "retrieve",
     "retrieve_by_seed",
     "run",
-    "transmission",
-    "validate_corpus",
 ]

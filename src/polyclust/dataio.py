@@ -114,9 +114,7 @@ def parse_refer(text: str) -> tuple[RefRecord, ...]:
                 continue
             if line.startswith("%#"):
                 body = line[2:].strip()
-                keyword = body.split(":", 1)[1].strip() if ":" in body else body
-                if keyword and keyword not in keywords:
-                    keywords.append(keyword)
+                keywords.append(body.split(":", 1)[1].strip() if ":" in body else body)
                 last = "keyword"
                 continue
             field = _FIELD_LINE.match(line)
@@ -135,7 +133,7 @@ def parse_refer(text: str) -> tuple[RefRecord, ...]:
                 continue
             if last == "title":
                 title = f"{title} {line}".strip()
-            elif last == "keyword" and keywords:
+            elif last == "keyword":
                 keywords[-1] = f"{keywords[-1]} {line}".strip()
             elif last == "comment":
                 comment = f"{comment} {line}".strip()
@@ -150,10 +148,12 @@ def parse_refer(text: str) -> tuple[RefRecord, ...]:
             label = title
         else:
             label = f"record {position}"
-        if not keywords:
+        # every %# line holds its place for its continuation lines; empty and
+        # repeated keywords go only now, each keyword kept at its first place
+        unique = tuple(dict.fromkeys(k for k in keywords if k))
+        if not unique:
             raise ParseError(f"record {label!r} has no keyword lines (%#)")
-        # a continued keyword can complete into an earlier one: keep the first
-        records.append(RefRecord(label, title, tuple(dict.fromkeys(keywords))))
+        records.append(RefRecord(label, title, unique))
     return tuple(records)
 
 

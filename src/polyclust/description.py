@@ -1,4 +1,4 @@
-"""Category descriptions: prototypes, m-of-n rules, and the field report.
+"""Category descriptions: m-of-n rules and the field report.
 
 All functions are pure views over a finished field. The report is a
 stable line-oriented text whose structured twin (report_record) mirrors
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from . import information
 from .model import Category, ConceptField, Corpus, Parameters, PolymorphousRule
 
 if TYPE_CHECKING:
@@ -28,20 +27,6 @@ def feature_frequencies(category: Category, corpus: Corpus) -> tuple[float, ...]
         sum(corpus.objects[i].bits[f] for i in category.members) / k
         for f in range(width)
     )
-
-
-def best_member(category: Category, corpus: Corpus) -> int:
-    """The member with maximal mean affinity to the others; ties go to the lowest id."""
-    ids = category.members
-
-    def mean_affinity(i: int) -> float:
-        total = 0.0
-        for j in ids:
-            if j != i:
-                total += information.affinity(corpus.objects[i], corpus.objects[j])
-        return total / (len(ids) - 1)
-
-    return min(ids, key=lambda i: (-mean_affinity(i), i))
 
 
 def polymorphous_rule(

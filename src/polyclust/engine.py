@@ -56,7 +56,6 @@ class TraceStep:
 class EngineState:
     mode: Mode
     field: ConceptField
-    trace: tuple[TraceStep, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -155,16 +154,10 @@ def _validity(
     return FieldValidity(cohesions, tuple(tuple(row) for row in matrix), ok)
 
 
-def field_valid(
-    field: ConceptField,
-    corpus: Corpus,
-    params: Parameters,
-    *,
-    _matrix: Optional[AffinityMatrix] = None,
-) -> FieldValidity:
+def field_valid(field: ConceptField, corpus: Corpus, params: Parameters) -> FieldValidity:
     """Evaluate every cohesion and margin of a field. An empty field is valid."""
-    aff = _matrix if _matrix is not None else affinity_matrix(corpus)
-    return _validity([c.members for c in field.categories], params, aff)
+    members = [c.members for c in field.categories]
+    return _validity(members, params, affinity_matrix(corpus))
 
 
 def _require_mode(state: EngineState, mode: Mode) -> None:
@@ -173,19 +166,15 @@ def _require_mode(state: EngineState, mode: Mode) -> None:
 
 
 def protoseed_hunt(
-    state: EngineState,
-    corpus: Corpus,
-    params: Parameters,
-    *,
-    _matrix: Optional[AffinityMatrix] = None,
+    state: EngineState, aff: AffinityMatrix, params: Parameters
 ) -> Optional[Category]:
     """Promote the best-affinity unclustered pair, if the field stays valid.
 
-    Only the single maximum-affinity pair (ties: lexicographically
-    smallest id pair) is hypothesized; None signals an impasse.
+    Only the single maximum-affinity pair of the corpus's affinity
+    matrix aff (ties: lexicographically smallest id pair) is
+    hypothesized; None signals an impasse.
     """
     _require_mode(state, Mode.PROTOSEED_HUNTING)
-    aff = _matrix if _matrix is not None else affinity_matrix(corpus)
     best_pair: Optional[tuple[int, int]] = None
     best_aff = 0.0
     for i, j in combinations(sorted(state.field.unclustered), 2):
@@ -203,21 +192,17 @@ def protoseed_hunt(
 
 
 def object_hunt(
-    state: EngineState,
-    corpus: Corpus,
-    params: Parameters,
-    *,
-    _matrix: Optional[AffinityMatrix] = None,
+    state: EngineState, aff: AffinityMatrix, params: Parameters
 ) -> Optional[tuple[int, int]]:
     """Best valid (object, category) addition by post-addition cohesion.
 
-    Ties break by lowest object id, then lowest category index. None
-    signals an impasse.
+    Cohesions come from the corpus's affinity matrix aff. Ties break by
+    lowest object id, then lowest category index. None signals an
+    impasse.
     """
     _require_mode(state, Mode.OBJECT_HUNTING)
     if not state.field.categories:
         raise ValueError("object hunting requires at least one category")
-    aff = _matrix if _matrix is not None else affinity_matrix(corpus)
     field = state.field
     best_key: Optional[tuple[float, int, int]] = None
     best: Optional[tuple[int, int]] = None
@@ -236,18 +221,14 @@ def object_hunt(
 
 
 def merge_hunt(
-    state: EngineState,
-    corpus: Corpus,
-    params: Parameters,
-    *,
-    _matrix: Optional[AffinityMatrix] = None,
+    state: EngineState, aff: AffinityMatrix, params: Parameters
 ) -> Optional[tuple[int, int]]:
     """Best valid category pair to merge, by merged cohesion.
 
-    Ties break by lowest index pair. None signals an impasse.
+    Cohesions come from the corpus's affinity matrix aff. Ties break by
+    lowest index pair. None signals an impasse.
     """
     _require_mode(state, Mode.PROTOTYPE_MERGING)
-    aff = _matrix if _matrix is not None else affinity_matrix(corpus)
     field = state.field
     best_key: Optional[tuple[float, int, int]] = None
     best: Optional[tuple[int, int]] = None
@@ -302,9 +283,9 @@ def run(
             on_action(field, step)
 
     while mode is not Mode.DONE:
-        state = EngineState(mode, field, tuple(trace))
+        state = EngineState(mode, field)
         if mode is Mode.PROTOSEED_HUNTING:
-            candidate = protoseed_hunt(state, corpus, params, _matrix=aff)
+            candidate = protoseed_hunt(state, aff, params)
             if candidate is None:
                 mode = Mode.PROTOTYPE_MERGING
                 continue
@@ -323,7 +304,7 @@ def run(
             )
             mode = Mode.OBJECT_HUNTING
         elif mode is Mode.OBJECT_HUNTING:
-            found = object_hunt(state, corpus, params, _matrix=aff)
+            found = object_hunt(state, aff, params)
             if found is None:
                 mode = Mode.PROTOSEED_HUNTING
                 continue
@@ -334,7 +315,7 @@ def run(
             new_field = ConceptField(tuple(categories), _remove_unclustered(field, (obj,)))
             accepted(new_field, TraceStep("add", (obj,), idx, updated.cohesion))
         else:  # Mode.PROTOTYPE_MERGING
-            found = merge_hunt(state, corpus, params, _matrix=aff)
+            found = merge_hunt(state, aff, params)
             if found is None:
                 mode = Mode.DONE
                 continue

@@ -3,15 +3,16 @@
 Everything is in bits (log base 2). The association between two objects
 is the mutual information of their 2x2 feature co-occurrence table,
 gated to zero when the table shows negative association: categories are
-held together by co-presence, not by anti-correlation. All pair
-reductions run in a fixed id order so repeated runs are bit-identical.
+held together by co-presence, not by anti-correlation. Cohesion and
+cross affinity, the means of these affinities over a category's pairs,
+are computed once, over the affinity matrix, in ``engine``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .model import Category, ConceptField, Corpus, ObjectInstance
 
@@ -94,37 +95,6 @@ def affinity(a: ObjectInstance, b: ObjectInstance) -> Bits:
     if t.determinant <= 0:
         return 0.0
     return transmission(t)
-
-
-def cohesion(members: Iterable[ObjectInstance]) -> Bits:
-    """Mean affinity over all unordered member pairs."""
-    objs = sorted(members, key=lambda o: o.id)
-    if len(objs) < 2:
-        raise ValueError("cohesion needs at least 2 members")
-    total = 0.0
-    pairs = 0
-    for i, a in enumerate(objs):
-        for b in objs[i + 1 :]:
-            total += affinity(a, b)
-            pairs += 1
-    return total / pairs
-
-
-def distinctiveness(c: Iterable[ObjectInstance], other: Iterable[ObjectInstance]) -> Bits:
-    """Mean affinity over all cross pairs between two disjoint member sets."""
-    left = {o.id: o for o in c}
-    right = {o.id: o for o in other}
-    if not left or not right:
-        raise ValueError("distinctiveness needs two non-empty member sets")
-    overlap = set(left) & set(right)
-    if overlap:
-        raise ValueError(f"overlapping member sets: ids {sorted(overlap)}")
-    pairs = sorted((min(i, j), max(i, j)) for i in left for j in right)
-    by_id = {**left, **right}
-    total = 0.0
-    for i, j in pairs:
-        total += affinity(by_id[i], by_id[j])
-    return total / len(pairs)
 
 
 def category_validity(

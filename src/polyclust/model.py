@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Optional
 
 
 class CorpusError(ValueError):
@@ -312,6 +312,3 @@ class ConceptField:
         ids = list(self.clustered()) + list(self.unclustered)
         return len(ids) == len(set(ids)) and set(ids) == set(range(n))
 
-
-def objects_of(corpus: Corpus, ids: Iterable[int]) -> list[ObjectInstance]:
-    return [corpus.objects[i] for i in ids]

@@ -16,9 +16,9 @@ import time
 from itertools import combinations, product
 from typing import Callable, Iterable, Mapping
 
-from conftest import bits_corpus, make_category
+from conftest import best_member, bits_corpus, make_category
 from polyclust import datasets, emit_json, run
-from polyclust.description import best_member, misclassification
+from polyclust.description import misclassification
 from polyclust.engine import affinity_matrix, field_valid
 from polyclust.information import (
     PairTable,

@@ -113,6 +113,14 @@ class TestParseRefer:
         text = "% rec\n%# 1: VISUAL SEARCH\n%# 2: VISUAL\nSEARCH\nTASK\n"
         assert parse_refer(text)[0].keywords == ("VISUAL SEARCH", "VISUAL SEARCH TASK")
 
+    def test_continuation_after_a_repeated_keyword_extends_the_repeat(self):
+        text = "% rec\n%# 1: VISUAL\n%# 2: VISUAL\nSEARCH\n"
+        assert parse_refer(text)[0].keywords == ("VISUAL", "VISUAL SEARCH")
+
+    def test_continuation_after_an_empty_keyword_extends_the_empty_one(self):
+        text = "% rec\n%# 1: MEMORY\n%# 2:\nVISUAL SEARCH\n"
+        assert parse_refer(text)[0].keywords == ("MEMORY", "VISUAL SEARCH")
+
     def test_empty_input(self):
         with pytest.raises(ParseError, match="no records"):
             parse_refer("   \n\n  ")

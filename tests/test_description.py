@@ -6,10 +6,9 @@ import dataclasses
 
 import pytest
 
-from conftest import bits_corpus, make_category
+from conftest import best_member, bits_corpus, make_category
 from polyclust.description import (
     NoRuleFeatures,
-    best_member,
     feature_frequencies,
     misclassification,
     polymorphous_rule,

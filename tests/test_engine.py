@@ -3,21 +3,24 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
-from conftest import bits_corpus, make_category
-from polyclust import emit_json, run
-from polyclust.description import best_member
+from conftest import best_member, bits_corpus, cohesion, distinctiveness, make_category
+from polyclust import description, emit_json, engine, information, run
 from polyclust.engine import (
     EngineState,
     Mode,
+    _mean_across,
+    _mean_within,
+    _new_category,
+    affinity_matrix,
     field_valid,
     merge_hunt,
     object_hunt,
     protoseed_hunt,
 )
-from polyclust.information import cohesion
 from polyclust.model import ConceptField, Corpus, Parameters
 
 
@@ -61,56 +64,56 @@ class TestFieldValid:
 class TestProtoseedHunt:
     def test_promotes_best_pair(self):
         corpus = bits_corpus(["1100", "1100", "0011"])
-        got = protoseed_hunt(state(corpus, Mode.PROTOSEED_HUNTING), corpus, DEFAULTS)
+        got = protoseed_hunt(state(corpus, Mode.PROTOSEED_HUNTING), affinity_matrix(corpus), DEFAULTS)
         assert got is not None
         assert got.members == (0, 1)
         assert got.cohesion == 1.0
 
     def test_all_independent_is_impasse(self):
         corpus = bits_corpus(["1100", "1010", "0110"])
-        assert protoseed_hunt(state(corpus, Mode.PROTOSEED_HUNTING), corpus, DEFAULTS) is None
+        assert protoseed_hunt(state(corpus, Mode.PROTOSEED_HUNTING), affinity_matrix(corpus), DEFAULTS) is None
 
     def test_single_object_is_impasse(self):
         corpus = bits_corpus(["1100"])
-        assert protoseed_hunt(state(corpus, Mode.PROTOSEED_HUNTING), corpus, DEFAULTS) is None
+        assert protoseed_hunt(state(corpus, Mode.PROTOSEED_HUNTING), affinity_matrix(corpus), DEFAULTS) is None
 
     def test_tie_breaks_to_smallest_id_pair(self):
         corpus = bits_corpus(["1100", "1100", "1100"])
-        got = protoseed_hunt(state(corpus, Mode.PROTOSEED_HUNTING), corpus, DEFAULTS)
+        got = protoseed_hunt(state(corpus, Mode.PROTOSEED_HUNTING), affinity_matrix(corpus), DEFAULTS)
         assert got is not None and got.members == (0, 1)
 
     def test_rejected_when_field_would_go_invalid(self):
         # a second copy of an existing category has zero margin
         corpus = bits_corpus(["1100", "1100", "1100", "1100"])
         st = state(corpus, Mode.PROTOSEED_HUNTING, categories=((0, 1),))
-        assert protoseed_hunt(st, corpus, DEFAULTS) is None
+        assert protoseed_hunt(st, affinity_matrix(corpus), DEFAULTS) is None
 
     def test_mode_precondition(self):
         corpus = bits_corpus(["1100", "1100"])
         with pytest.raises(ValueError, match="expected mode"):
-            protoseed_hunt(state(corpus, Mode.OBJECT_HUNTING), corpus, DEFAULTS)
+            protoseed_hunt(state(corpus, Mode.OBJECT_HUNTING), affinity_matrix(corpus), DEFAULTS)
 
 
 class TestObjectHunt:
     def test_adds_duplicate_keeping_cohesion(self):
         corpus = bits_corpus(["1100", "1100", "1100"])
         st = state(corpus, Mode.OBJECT_HUNTING, categories=((0, 1),))
-        assert object_hunt(st, corpus, DEFAULTS) == (2, 0)
+        assert object_hunt(st, affinity_matrix(corpus), DEFAULTS) == (2, 0)
 
     def test_rejects_addition_that_drops_cohesion(self):
         corpus = bits_corpus(["1100", "1100", "0011"])
         st = state(corpus, Mode.OBJECT_HUNTING, categories=((0, 1),))
-        assert object_hunt(st, corpus, DEFAULTS) is None  # new W would be 1/3 < 0.4
+        assert object_hunt(st, affinity_matrix(corpus), DEFAULTS) is None  # new W would be 1/3 < 0.4
 
     def test_no_unclustered_is_impasse(self):
         corpus = bits_corpus(["1100", "1100"])
         st = state(corpus, Mode.OBJECT_HUNTING, categories=((0, 1),))
-        assert object_hunt(st, corpus, DEFAULTS) is None
+        assert object_hunt(st, affinity_matrix(corpus), DEFAULTS) is None
 
     def test_requires_a_category(self):
         corpus = bits_corpus(["1100", "1100"])
         with pytest.raises(ValueError, match="at least one category"):
-            object_hunt(state(corpus, Mode.OBJECT_HUNTING), corpus, DEFAULTS)
+            object_hunt(state(corpus, Mode.OBJECT_HUNTING), affinity_matrix(corpus), DEFAULTS)
 
 
 class TestMergeHunt:
@@ -118,17 +121,17 @@ class TestMergeHunt:
         corpus = bits_corpus(["1100", "1100", "1100", "1100"])
         st = state(corpus, Mode.PROTOTYPE_MERGING, categories=((0, 1), (2, 3)))
         # the two-copy field is invalid as it stands, but the merge repairs it
-        assert merge_hunt(st, corpus, DEFAULTS) == (0, 1)
+        assert merge_hunt(st, affinity_matrix(corpus), DEFAULTS) == (0, 1)
 
     def test_rejects_merge_below_cohesion_threshold(self):
         corpus = bits_corpus(["1100", "1100", "0011", "0011"])
         st = state(corpus, Mode.PROTOTYPE_MERGING, categories=((0, 1), (2, 3)))
-        assert merge_hunt(st, corpus, DEFAULTS) is None  # merged W = 1/3 < 0.4
+        assert merge_hunt(st, affinity_matrix(corpus), DEFAULTS) is None  # merged W = 1/3 < 0.4
 
     def test_single_category_is_impasse(self):
         corpus = bits_corpus(["1100", "1100"])
         st = state(corpus, Mode.PROTOTYPE_MERGING, categories=((0, 1),))
-        assert merge_hunt(st, corpus, DEFAULTS) is None
+        assert merge_hunt(st, affinity_matrix(corpus), DEFAULTS) is None
 
 
 class TestRun:
@@ -224,6 +227,80 @@ class TestRun:
             if result.field.categories:
                 assert result.validity.ok
                 assert field_valid(result.field, corpus, params).ok
+
+
+class TestMatrixKernelEqualsObjectOracles:
+    """The engine's matrix statistics equal the object-level oracles exactly."""
+
+    def test_random_fields(self):
+        rng = random.Random(3107)
+        categories_checked = 0
+        for _ in range(300):
+            n = rng.randint(2, 12)
+            width = rng.randint(2, 10)
+            density = rng.uniform(0.15, 0.85)
+            corpus = bits_corpus(
+                [
+                    "".join("1" if rng.random() < density else "0" for _ in range(width))
+                    for _ in range(n)
+                ]
+            )
+            aff = affinity_matrix(corpus)
+            ids = list(range(n))
+            rng.shuffle(ids)
+            cut = rng.randint(1, n - 1)
+            left, right = sorted(ids[:cut]), sorted(ids[cut:])
+            left_objs = [corpus.objects[i] for i in left]
+            right_objs = [corpus.objects[i] for i in right]
+            assert _mean_across(aff, left, right) == distinctiveness(left_objs, right_objs)
+            assert _mean_across(aff, right, left) == distinctiveness(right_objs, left_objs)
+            assert _mean_across(aff, left, right) == distinctiveness(right_objs, left_objs)
+            for unsorted, members, objs in (
+                (ids[:cut], left, left_objs),
+                (ids[cut:], right, right_objs),
+            ):
+                if len(members) < 2:
+                    continue
+                categories_checked += 1
+                assert _mean_within(aff, members) == cohesion(objs)
+                category = _new_category(unsorted, aff)
+                assert category.members == tuple(members)
+                assert category.cohesion == cohesion(objs)
+                assert category.best_member == best_member(category, corpus)
+        assert categories_checked >= 300
+
+
+class TestLayerCallsGoThroughModuleAttributes:
+    """The benchmark's tracer wraps these module attributes to time each layer.
+
+    A refactor that called a local alias instead would leave every
+    output unchanged and silently blind the per-layer metrics.
+    """
+
+    def test_every_wrapped_layer_is_called(self, monkeypatch, shapes_corpus):
+        params = Parameters(0.05, 0.05)
+        expected = run(shapes_corpus, params).report
+        calls: Counter[str] = Counter()
+        wrapped = [
+            (engine, "affinity_matrix"),
+            (engine, "protoseed_hunt"),
+            (engine, "object_hunt"),
+            (engine, "merge_hunt"),
+            (information, "affinity"),
+            (description, "polymorphous_rule"),
+            (description, "render_report"),
+        ]
+        for module, name in wrapped:
+
+            def counting(*args, _name=name, _original=getattr(module, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        result = run(shapes_corpus, params)
+        assert set(calls) == {name for _, name in wrapped}
+        assert calls["affinity"] == 28  # one per pair of the 8 shapes
+        assert result.report == expected
 
 
 class TestFrozenRegressions:

@@ -8,13 +8,11 @@ from itertools import permutations
 
 import pytest
 
-from conftest import bits_corpus, make_category
+from conftest import bits_corpus, cohesion, distinctiveness, make_category
 from polyclust.information import (
     PairTable,
     affinity,
     category_validity,
-    cohesion,
-    distinctiveness,
     entropy,
     object_pair_table,
     transmission,

@@ -273,7 +273,7 @@ class TestCategory:
     def test_cached_cohesion_matches_recomputation(self):
         corpus = bits_corpus(["1100", "1100", "1010", "1001"])
         cat = make_category(corpus, (0, 1, 2, 3))
-        from polyclust.information import cohesion
+        from conftest import cohesion
 
         assert abs(cat.cohesion - cohesion(corpus.objects)) <= 1e-12
 
