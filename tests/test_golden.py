@@ -34,8 +34,8 @@ GRID = [round(0.05 * k, 2) for k in range(1, 20)]  # 0.05 .. 0.95
 RANDOM_CASES = 400
 
 
-def cases() -> Iterator[tuple[str, Corpus, Parameters]]:
-    """Every snapshot case as (name, corpus, parameters), in a fixed order."""
+def random_cases() -> Iterator[tuple[str, Corpus, Parameters]]:
+    """The 400 seeded random corpora, each with its random parameters."""
     rng = random.Random(20131)
     for k in range(RANDOM_CASES):
         n = rng.randint(2, 14)
@@ -51,6 +51,11 @@ def cases() -> Iterator[tuple[str, Corpus, Parameters]]:
             rule_alpha=rng.uniform(0.2, 1.0),
         )
         yield f"random-{k:03d}", bits_corpus(patterns), params
+
+
+def cases() -> Iterator[tuple[str, Corpus, Parameters]]:
+    """Every snapshot case as (name, corpus, parameters), in a fixed order."""
+    yield from random_cases()
     shapes, abstracts = datasets.shapes_corpus(), datasets.abstracts_corpus()
     # the committed grid, then the scaled grids that acceptance criteria
     # 2 and 3 sweep, where the bundled corpora do form categories
