@@ -16,7 +16,7 @@ import click
 
 from . import dataio, description, engine, information, retrieval
 from .dataio import ParseError
-from .model import Corpus, CorpusError, ParameterError, Parameters, validate_corpus
+from .model import Corpus, CorpusError, ParameterError, Parameters
 
 _SUFFIX_FORMATS = {
     "csv": "csv",
@@ -55,8 +55,9 @@ def _load_corpus(path: str, fmt: Optional[str], with_title_tokens: bool = False)
             )
         else:
             corpus = dataio.parse_matrix(text)
-        # every subcommand enforces the corpus invariants; warnings come from run
-        corpus, _ = validate_corpus(corpus)
+        # every subcommand enforces the corpus invariants; warnings come from run.
+        # The check is cached on the corpus, so retrieval does not repeat it.
+        corpus.validate()
     except (ParseError, CorpusError) as exc:
         raise click.ClickException(str(exc)) from exc
     return corpus

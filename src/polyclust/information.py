@@ -89,12 +89,16 @@ def transmission(t: PairTable) -> Bits:
     return value if value > 0.0 else 0.0
 
 
-def affinity(a: ObjectInstance, b: ObjectInstance) -> Bits:
-    """Transmission between two objects, zero unless positively associated."""
-    t = object_pair_table(a, b)
+def gated_transmission(t: PairTable) -> Bits:
+    """Transmission of a table, zero unless it shows positive association."""
     if t.determinant <= 0:
         return 0.0
     return transmission(t)
+
+
+def affinity(a: ObjectInstance, b: ObjectInstance) -> Bits:
+    """Transmission between two objects, zero unless positively associated."""
+    return gated_transmission(object_pair_table(a, b))
 
 
 def category_validity(

@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Optional
 
 
@@ -138,6 +139,40 @@ class Corpus:
     @cached_property
     def _by_label(self) -> dict[str, int]:
         return {obj.label: obj.id for obj in self.objects}
+
+    @cached_property
+    def _warnings(self) -> tuple[str, ...]:
+        return tuple(validate_corpus(self)[1])
+
+    def validate(self) -> tuple[str, ...]:
+        """Check the corpus once, with ``validate_corpus``; return its warnings.
+
+        Raises CorpusError on an invalid corpus. A valid corpus is checked
+        on the first call only.
+        """
+        return self._warnings
+
+    @cached_property
+    def feature_index(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """``(postings, sizes)``, built on first use and cached.
+
+        ``postings[f]`` holds the ascending ids of the objects that have
+        feature f; ``sizes[i]`` is object i's number of present features.
+        Validates the corpus first. One pass over the objects; the bits
+        are scanned by ``itertools.compress`` and the postings hold the
+        objects' own id ints.
+        """
+        self.validate()
+        features = range(len(self.space))
+        postings: list[list[int]] = [[] for _ in features]
+        sizes: list[int] = []
+        for obj in self.objects:
+            present = list(compress(features, obj.bits))
+            sizes.append(len(present))
+            oid = obj.id
+            for f in present:
+                postings[f].append(oid)
+        return tuple(map(tuple, postings)), tuple(sizes)
 
     def object_by_label(self, label: str) -> ObjectInstance:
         idx = self._by_label.get(label)

@@ -3,12 +3,21 @@
 An m-of-n query admits any object possessing at least m of the n named
 features, which is exactly the disjunction of all m-subsets written as
 conjunctions. Seed retrieval ranks the rest of the corpus by affinity
-to one chosen object. Both are pure, read-only scans.
+to one chosen object.
+
+Both validate the corpus first, once per corpus, and raise the same
+CorpusError as ``engine.run``. Rule queries scan every object. Seed
+queries read the corpus's feature index (``Corpus.feature_index``),
+which the first seed query builds and the corpus caches: only objects
+that share a feature with the seed are scored, because every other
+object's affinity to it is exactly 0.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, compress, islice
 from typing import Iterable
 
 from . import information
@@ -48,6 +57,7 @@ def match(query: PolymorphousQuery, obj: ObjectInstance) -> bool:
 
 def retrieve(corpus: Corpus, query: PolymorphousQuery) -> tuple[int, ...]:
     """All matching object ids, by descending query-feature count, then id."""
+    corpus.validate()
     scored = [
         (query.count_in(obj), obj.id)
         for obj in corpus.objects
@@ -60,16 +70,35 @@ def retrieve(corpus: Corpus, query: PolymorphousQuery) -> tuple[int, ...]:
 def retrieve_by_seed(
     corpus: Corpus, seed: int, k: int
 ) -> tuple[tuple[int, float], ...]:
-    """Top-k non-seed objects by affinity to the seed, ties by id."""
+    """Top-k non-seed objects by affinity to the seed, ties by id.
+
+    n11 is counted, through the feature index, for every object that
+    shares a feature with the seed; the other three cells of its 2x2
+    table follow from the two feature counts. An object that shares no
+    feature has n11 = 0, so its determinant is -n10*n01 <= 0 and its
+    affinity exactly 0.0: such objects fill the answer last, in id order.
+    """
     if not 0 <= seed < len(corpus):
         raise ValueError(f"seed id {seed} outside the corpus")
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    seed_obj = corpus.objects[seed]
-    ranked = [
-        (information.affinity(seed_obj, obj), obj.id)
-        for obj in corpus.objects
-        if obj.id != seed
-    ]
+    postings, sizes = corpus.feature_index
+    width = len(corpus.space)
+    present = compress(range(width), corpus.objects[seed].bits)
+    shared = Counter(chain.from_iterable(map(postings.__getitem__, present)))
+    del shared[seed]
+    own = sizes[seed]
+    ranked = []
+    for obj_id, n11 in shared.items():
+        n10 = own - n11
+        n01 = sizes[obj_id] - n11
+        table = information.PairTable(n11, n10, n01, width - n11 - n10 - n01)
+        aff = information.gated_transmission(table)
+        if aff > 0.0:
+            ranked.append((aff, obj_id))
     ranked.sort(key=lambda t: (-t[0], t[1]))
-    return tuple((obj_id, aff) for aff, obj_id in ranked[:k])
+    top = [(obj_id, aff) for aff, obj_id in ranked[:k]]
+    scored = {obj_id for _, obj_id in ranked}
+    zeros = (j for j in range(len(corpus)) if j != seed and j not in scored)
+    top.extend((obj_id, 0.0) for obj_id in islice(zeros, k - len(top)))
+    return tuple(top)

@@ -4,7 +4,10 @@
 category's statistics from its objects, one ``information.affinity``
 call per pair. The program computes the same statistics once, over the
 affinity matrix, in ``engine``; these are the references it is checked
-against.
+against. ``retrieve_by_seed_scan`` likewise ranks every object by its
+own ``information.affinity`` to the seed; the program scores only the
+objects that share a feature with the seed, through the corpus's
+feature index.
 """
 
 from __future__ import annotations
@@ -78,6 +81,20 @@ def best_member(category: Category, corpus: Corpus) -> int:
         return total / (len(ids) - 1)
 
     return min(ids, key=lambda i: (-mean_affinity(i), i))
+
+
+def retrieve_by_seed_scan(
+    corpus: Corpus, seed: int, k: int
+) -> tuple[tuple[int, float], ...]:
+    """Top-k non-seed objects by affinity to the seed, ties by id, scanning every object."""
+    seed_obj = corpus.objects[seed]
+    ranked = [
+        (information.affinity(seed_obj, obj), obj.id)
+        for obj in corpus.objects
+        if obj.id != seed
+    ]
+    ranked.sort(key=lambda t: (-t[0], t[1]))
+    return tuple((obj_id, aff) for aff, obj_id in ranked[:k])
 
 
 def make_category(corpus: Corpus, ids: Sequence[int]) -> Category:

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from itertools import combinations
 
 import pytest
 from click.testing import CliRunner
 
-from polyclust import datasets
+from polyclust import datasets, retrieval
 from polyclust.cli import main
 
 TOY_CSV = """label,a,b,c
@@ -184,6 +185,46 @@ class TestQuery:
             main, ["query", "--input", toy_file, "--seed", "d99"]
         )
         assert result.exit_code == 2
+
+
+class TestRetrievalCallsGoThroughModuleAttributes:
+    """The benchmark's tracer wraps these retrieval attributes to time each layer.
+
+    A refactor that bypassed one (a local alias, or a second path that
+    answers without it) would leave the answers unchanged and silently
+    blind the per-layer metrics.
+    """
+
+    def test_every_wrapped_attribute_is_called(self, monkeypatch, runner, abstracts_file):
+        calls: Counter[str] = Counter()
+        answers: dict[str, object] = {}
+        for owner, name in (
+            (retrieval.PolymorphousQuery, "resolve"),
+            (retrieval, "retrieve"),
+            (retrieval, "retrieve_by_seed"),
+        ):
+
+            def counting(*args, _name=name, _original=getattr(owner, name), **kwargs):
+                calls[_name] += 1
+                answers[_name] = _original(*args, **kwargs)
+                return answers[_name]
+
+            wrapped = staticmethod(counting) if isinstance(owner, type) else counting
+            monkeypatch.setattr(owner, name, wrapped)
+        base = ["query", "--input", abstracts_file, "--format", "refer"]
+        rule = runner.invoke(main, [*base, "--rule", "1:VISUAL SEARCH"])
+        seed = runner.invoke(main, [*base, "--seed", "abstract 4", "--top", "3"])
+        assert rule.exit_code == 0 and seed.exit_code == 0
+        assert set(calls) == {"resolve", "retrieve", "retrieve_by_seed"}
+        corpus = datasets.abstracts_corpus()
+        assert {corpus.objects[i].label for i in answers["retrieve"]} == {
+            "abstract 4",
+            "abstract 6",
+        }
+        top_id, top_affinity = answers["retrieve_by_seed"][0]
+        assert corpus.objects[top_id].label == "abstract 6"
+        assert top_affinity == pytest.approx(0.000280471, abs=1e-9)
+        assert seed.output.splitlines()[0] == "abstract 6\t0.000280"
 
 
 class TestInfo:

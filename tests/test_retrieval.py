@@ -1,14 +1,18 @@
-"""m-of-n query matching, ranking, and seed retrieval."""
+"""m-of-n query matching, ranking, seed retrieval and the feature index."""
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations, product
+from typing import Iterator
 
 import pytest
 
-from conftest import bits_corpus
-from polyclust.model import CorpusError
+from conftest import bits_corpus, retrieve_by_seed_scan
+from polyclust import model
+from polyclust.information import object_pair_table
+from polyclust.model import Corpus, CorpusError, FeatureSpace, ObjectInstance, validate_corpus
 from polyclust.retrieval import PolymorphousQuery, match, retrieve, retrieve_by_seed
 
 
@@ -125,3 +129,120 @@ class TestRetrieveBySeed:
             retrieve_by_seed(corpus, 9, 1)
         with pytest.raises(ValueError, match="positive"):
             retrieve_by_seed(corpus, 0, 0)
+
+
+def differential_corpora() -> Iterator[Corpus]:
+    """Seeded random corpora, sparse and dense, with duplicate rows to force ties.
+
+    Every fourth corpus holds one object whose only feature no other
+    object has, so some seeds share no feature with any object.
+    """
+    rng = random.Random(5150)
+    for case in range(160):
+        n = rng.randint(2, 16)
+        width = rng.randint(1, 24)
+        density = rng.uniform(0.03, 0.15) if case % 2 else rng.uniform(0.6, 0.8)
+        rows = [[int(rng.random() < density) for _ in range(width)] for _ in range(n)]
+        for _ in range(rng.randint(0, n // 2)):
+            rows[rng.randrange(n)] = list(rows[rng.randrange(n)])
+        if case % 4 == 0:
+            lone = rng.randrange(n)
+            rows = [[0] * width + [1] if r == lone else row + [0] for r, row in enumerate(rows)]
+        yield bits_corpus(["".join(map(str, row)) for row in rows])
+
+
+class TestSeedIndexEqualsScan:
+    """The index scan returns exactly what scoring every object returns."""
+
+    def test_every_seed_and_k_matches_the_scan(self):
+        seen: Counter[str] = Counter()
+        for corpus in differential_corpora():
+            n = len(corpus)
+            for seed in range(n):
+                for k in range(1, n + 6):
+                    assert retrieve_by_seed(corpus, seed, k) == retrieve_by_seed_scan(
+                        corpus, seed, k
+                    ), (corpus, seed, k)
+                tables = [
+                    object_pair_table(corpus.objects[seed], obj)
+                    for obj in corpus.objects
+                    if obj.id != seed
+                ]
+                seen["seed shares no feature"] += all(t.n11 == 0 for t in tables)
+                seen["n11 > 0, determinant <= 0"] += sum(
+                    t.n11 > 0 and t.determinant <= 0 for t in tables
+                )
+                positive = [aff for _, aff in retrieve_by_seed_scan(corpus, seed, n) if aff > 0.0]
+                seen["tied positive affinities"] += len(set(positive)) < len(positive)
+                seen["zero fill after positives"] += 0 < len(positive) < n - 2
+        assert min(seen.values()) > 0 and len(seen) == 4, seen
+
+
+class TestFeatureIndex:
+    def test_postings_and_sizes(self):
+        corpus = bits_corpus(["110", "011", "000", "111"])
+        assert corpus.feature_index == (((0, 3), (0, 1, 3), (1, 3)), (2, 2, 0, 3))
+
+    def test_built_once_from_the_objects_own_ids(self):
+        corpus = bits_corpus(["10", "11"] * 200)
+        index = corpus.feature_index
+        assert corpus.feature_index is index
+        postings, _ = index
+        assert postings[0] == tuple(range(400))
+        assert all(i is corpus.objects[i].id for i in postings[0])
+
+
+def broken_corpora() -> Iterator[tuple[str, Corpus]]:
+    space = FeatureSpace((("a", "a"), ("b", "b")))
+    x = ObjectInstance(0, "x", (1, 0))
+    yield "duplicate label", Corpus(
+        space, (x, ObjectInstance(1, "y", (0, 1)), ObjectInstance(2, "x", (1, 1)))
+    )
+    yield "short row", Corpus(space, (x, ObjectInstance(1, "y", (1,))))
+    yield "bit of 2", Corpus(space, (x, ObjectInstance(1, "y", (0, 2))))
+
+
+class TestRetrievalValidatesTheCorpus:
+    """Library retrieval enforces the invariants that engine.run enforces."""
+
+    @pytest.mark.parametrize("name", [name for name, _ in broken_corpora()])
+    def test_both_raise_the_validation_error(self, name):
+        corpus = dict(broken_corpora())[name]
+        with pytest.raises(CorpusError) as expected:
+            validate_corpus(corpus)
+        query = PolymorphousQuery.resolve(corpus, 1, ("a",))
+        for call in (lambda: retrieve(corpus, query), lambda: retrieve_by_seed(corpus, 0, 1)):
+            with pytest.raises(CorpusError) as got:
+                call()
+            assert str(got.value) == str(expected.value)
+
+    def test_a_valid_corpus_is_checked_once(self, monkeypatch):
+        calls = []
+
+        def counting(corpus):
+            calls.append(corpus)
+            return validate_corpus(corpus)
+
+        monkeypatch.setattr(model, "validate_corpus", counting)
+        corpus = bits_corpus(["110", "011", "101"])
+        query = PolymorphousQuery.resolve(corpus, 1, ("f0",))
+        for seed in range(3):
+            retrieve(corpus, query)
+            retrieve_by_seed(corpus, seed, 2)
+        assert len(calls) == 1
+
+    def test_true_and_float_bits_answer_as_int_bits(self):
+        ints = bits_corpus(["1100", "1010", "0111", "1111", "0000", "1100"])
+        mixed = Corpus(
+            ints.space,
+            tuple(
+                ObjectInstance(o.id, o.label, tuple((True if o.id % 2 else 1.0) if b else 0 for b in o.bits))
+                for o in ints.objects
+            ),
+        )
+        query = PolymorphousQuery.resolve(ints, 2, ("f0", "f1", "f3"))
+        assert retrieve(mixed, query) == retrieve(ints, query)
+        for seed in range(len(ints)):
+            got = retrieve_by_seed(mixed, seed, 6)
+            assert repr(got) == repr(retrieve_by_seed(ints, seed, 6))
+            assert repr(got) == repr(retrieve_by_seed_scan(mixed, seed, 6))
