@@ -30,7 +30,6 @@ from .model import (
     ConceptField,
     Corpus,
     Parameters,
-    validate_corpus,
 )
 
 
@@ -264,7 +263,7 @@ def run(
     legitimate outcome; objects are never force-assigned. The optional
     on_action callback sees the field after every accepted action.
     """
-    corpus, warnings = validate_corpus(corpus)
+    warnings = corpus.validate()
     aff = affinity_matrix(corpus)
     n = len(corpus)
     field = ConceptField.initial(n)
@@ -355,6 +354,6 @@ def run(
         field=field,
         validity=validity,
         trace=tuple(trace),
-        warnings=tuple(warnings),
+        warnings=warnings,
         report=report,
     )

@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from typing import Optional
+from typing import Optional, Sequence
 
 
 class CorpusError(ValueError):
@@ -112,11 +112,17 @@ class FeatureSpace:
 
 @dataclass(frozen=True)
 class ObjectInstance:
-    """One entity: a dense id, a unique label, and a binary indicator vector."""
+    """One entity: a dense id, a unique label, and a binary indicator vector.
+
+    bits holds one 0/1 int per feature; the parsers store `bytes`, one
+    byte per feature. Library callers may pass any sequence of 0/1 ints,
+    such as a tuple; every reader indexes, zips or sums the bits, so
+    both give the same results.
+    """
 
     id: int
     label: str
-    bits: tuple[int, ...]
+    bits: Sequence[int]
 
     def present(self) -> tuple[int, ...]:
         return tuple(f for f, b in enumerate(self.bits) if b)
@@ -184,7 +190,7 @@ class Corpus:
 _BINARY = frozenset((0, 1))
 
 
-def _is_binary(bits: tuple[int, ...]) -> bool:
+def _is_binary(bits: Sequence[int]) -> bool:
     try:
         return _BINARY.issuperset(bits)
     except TypeError:  # an unhashable bit; the walk below names it

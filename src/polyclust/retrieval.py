@@ -47,7 +47,7 @@ class PolymorphousQuery:
         return cls(m, names, tuple(indices))
 
     def count_in(self, obj: ObjectInstance) -> int:
-        return sum(obj.bits[f] for f in self.feature_set)
+        return sum(map(obj.bits.__getitem__, self.feature_set))
 
 
 def match(query: PolymorphousQuery, obj: ObjectInstance) -> bool:
@@ -58,11 +58,9 @@ def match(query: PolymorphousQuery, obj: ObjectInstance) -> bool:
 def retrieve(corpus: Corpus, query: PolymorphousQuery) -> tuple[int, ...]:
     """All matching object ids, by descending query-feature count, then id."""
     corpus.validate()
-    scored = [
-        (query.count_in(obj), obj.id)
-        for obj in corpus.objects
-        if match(query, obj)
-    ]
+    m = query.m
+    counts = map(query.count_in, corpus.objects)
+    scored = [(count, obj.id) for obj, count in zip(corpus.objects, counts) if count >= m]
     scored.sort(key=lambda t: (-t[0], t[1]))
     return tuple(obj_id for _, obj_id in scored)
 

@@ -12,7 +12,8 @@ feature index.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from dataclasses import replace
+from typing import Callable, Iterable, Optional, Sequence
 
 import pytest
 
@@ -36,6 +37,12 @@ def bits_corpus(
         for i, pattern in enumerate(patterns)
     )
     return Corpus(space, objects)
+
+
+def with_rows(corpus: Corpus, rows: Callable[[Sequence[int]], Sequence[int]]) -> Corpus:
+    """The same corpus with each object's bits rebuilt by ``rows``, e.g. ``bytes``."""
+    objects = tuple(replace(obj, bits=rows(obj.bits)) for obj in corpus.objects)
+    return Corpus(corpus.space, objects)
 
 
 def cohesion(members: Iterable[ObjectInstance]) -> Bits:

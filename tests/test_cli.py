@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+import sys
 from collections import Counter
 from itertools import combinations
 
 import pytest
 from click.testing import CliRunner
 
-from polyclust import datasets, retrieval
+from polyclust import datasets, model, retrieval
 from polyclust.cli import main
 
 TOY_CSV = """label,a,b,c
@@ -271,6 +272,27 @@ class TestCorpusValidation:
         assert "duplicate label 'a' (objects 0 and 2)" in result.output
         # nothing is listed or dumped before the error
         assert "\t" not in result.output
+
+    def test_cluster_validates_the_corpus_once(
+        self, runner, shapes_file, duplicate_file, monkeypatch
+    ):
+        calls = []
+        checked = model.validate_corpus
+
+        def counting(corpus):
+            calls.append(corpus)
+            return checked(corpus)
+
+        # patched wherever polyclust binds it, so a direct call is counted too
+        for name, module in list(sys.modules.items()):
+            if name.startswith("polyclust") and vars(module).get("validate_corpus") is checked:
+                monkeypatch.setattr(module, "validate_corpus", counting)
+        result = runner.invoke(main, ["cluster", "--input", shapes_file])
+        assert result.exit_code == 0
+        assert len(calls) == 1
+        failed = runner.invoke(main, ["cluster", "--input", duplicate_file])
+        assert failed.exit_code == 1
+        assert "duplicate label 'a' (objects 0 and 2)" in failed.output
 
     def test_constant_feature_warned_once_by_cluster_only(self, runner, tmp_path):
         path = tmp_path / "const.matrix"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import logging
 import random
+import tracemalloc
 
 import pytest
 
@@ -107,7 +108,7 @@ class TestParseRefer:
         assert records[0].keywords == ("VISUAL SEARCH", "MEMORY")
         corpus = one_hot_encode(records)
         assert corpus.space.features == (("VISUAL SEARCH", "VISUAL SEARCH"),)
-        assert [obj.bits for obj in corpus.objects] == [(1,), (0,)]
+        assert [obj.bits for obj in corpus.objects] == [bytes((1,)), bytes((0,))]
 
     def test_continued_keyword_completes_across_lines(self):
         text = "% rec\n%# 1: VISUAL SEARCH\n%# 2: VISUAL\nSEARCH\nTASK\n"
@@ -130,8 +131,8 @@ class TestOneHotEncode:
     def test_binary_attribute_gives_complementary_bits(self):
         corpus = one_hot_encode(parse_csv("shape\ncircular\nsquare\n"))
         assert corpus.space.labels == ("circular", "square")
-        assert corpus.objects[0].bits == (1, 0)
-        assert corpus.objects[1].bits == (0, 1)
+        assert corpus.objects[0].bits == bytes((1, 0))
+        assert corpus.objects[1].bits == bytes((0, 1))
 
     def test_feature_order_is_first_appearance(self):
         corpus = one_hot_encode(
@@ -221,7 +222,7 @@ class TestParseMatrix:
     def test_basic(self):
         corpus = parse_matrix("a,1,0,1\nb,0,1,1\n")
         assert [obj.label for obj in corpus.objects] == ["a", "b"]
-        assert corpus.objects[0].bits == (1, 0, 1)
+        assert corpus.objects[0].bits == bytes((1, 0, 1))
         assert corpus.space.labels == ("f0", "f1", "f2")
 
     def test_bad_bit_reports_line(self):
@@ -235,6 +236,61 @@ class TestParseMatrix:
     def test_empty(self):
         with pytest.raises(ParseError, match="no rows"):
             parse_matrix("")
+
+
+class TestParsersStoreBytesRows:
+    """Every parser path stores each object's row as bytes, one 0/1 byte per feature."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: parse_matrix("a,1,0,1\nb,0,1,1\n"), id="matrix"),
+            pytest.param(
+                lambda: one_hot_encode(parse_csv("shape,color\nsquare,black\ncircular,\n")),
+                id="csv",
+            ),
+            pytest.param(
+                lambda: one_hot_encode(parse_refer(datasets.abstracts_text())), id="refer"
+            ),
+            pytest.param(
+                lambda: one_hot_encode(
+                    parse_refer(datasets.abstracts_text()), with_title_tokens=True
+                ),
+                id="refer-title-tokens",
+            ),
+            pytest.param(datasets.abstracts_corpus, id="bundled-abstracts"),
+            pytest.param(datasets.shapes_corpus, id="bundled-shapes"),
+        ],
+    )
+    def test_rows_are_bytes(self, make):
+        corpus = make()
+        for obj in corpus.objects:
+            assert type(obj.bits) is bytes
+            assert len(obj.bits) == len(corpus.space)
+            assert set(obj.bits) <= {0, 1}
+
+
+def test_encoded_rows_retain_under_two_bytes_per_cell():
+    """A 1000-record keyword corpus (800 features) keeps about one byte per cell.
+
+    Rows stored as tuples of ints retain more than 8 bytes per cell, one
+    pointer each; bytes rows retain one byte plus each object's overhead.
+    """
+    rng = random.Random("memory-guard")
+    vocabulary = [f"KEYWORD {i}" for i in range(800)]
+    records = tuple(
+        RefRecord(f"record {i}", "", tuple(rng.sample(vocabulary, 8))) for i in range(1000)
+    )
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        corpus = one_hot_encode(records)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    cells = len(corpus) * len(corpus.space)
+    assert len(corpus) == 1000 and len(corpus.space) == 800
+    assert retained / cells < 2.0, f"{retained / cells:.2f} bytes per object-feature cell"
 
 
 class TestEmitJson:
@@ -310,7 +366,7 @@ def _oracle_encode_table(table: Table) -> Corpus:
         ObjectInstance(
             i,
             labels[i],
-            tuple(1 if table.rows[i][specs[k][2]] == specs[k][1] else 0 for k in kept),
+            bytes(1 if table.rows[i][specs[k][2]] == specs[k][1] else 0 for k in kept),
         )
         for i in range(n)
     )
@@ -337,7 +393,7 @@ def _oracle_encode_keywords(records: tuple[RefRecord, ...], with_title_tokens: b
     space = FeatureSpace(tuple(ordered[i] for i in kept))
     objects = tuple(
         ObjectInstance(
-            i, records[i].label, tuple(1 if ordered[k] in per_record[i] else 0 for k in kept)
+            i, records[i].label, bytes(1 if ordered[k] in per_record[i] else 0 for k in kept)
         )
         for i in range(n)
     )

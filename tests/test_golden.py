@@ -5,7 +5,10 @@ reduced to the first 16 hex digits of its SHA-256. The cases are 400
 seeded random corpora (2-14 objects, 2-10 features, random thresholds
 and alpha) and the two bundled corpora on every point of the committed
 threshold grid, and of the scaled grids that acceptance criteria 2 and 3
-sweep. The digests live in ``tests/data/golden_runs.json``.
+sweep. The digests live in ``tests/data/golden_runs.json``. The random
+corpora are built with tuple rows, as library callers build them; the
+same corpora with ``bytes`` rows, as the parsers store them, must give
+the same digests.
 
 A change that alters any output changes digests and fails this test.
 When such a change is intended (exact decision keys, for instance),
@@ -23,15 +26,16 @@ import hashlib
 import json
 import random
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator, Optional, Sequence
 
-from conftest import bits_corpus
+from conftest import bits_corpus, with_rows
 from polyclust import datasets, emit_json, run
 from polyclust.model import Corpus, Parameters
 
 GOLDEN = Path(__file__).parent / "data" / "golden_runs.json"
 GRID = [round(0.05 * k, 2) for k in range(1, 20)]  # 0.05 .. 0.95
 RANDOM_CASES = 400
+Rows = Optional[Callable[[Sequence[int]], Sequence[int]]]  # a row builder, e.g. bytes
 
 
 def random_cases() -> Iterator[tuple[str, Corpus, Parameters]]:
@@ -79,8 +83,14 @@ def digest(corpus: Corpus, params: Parameters) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def snapshot() -> dict[str, str]:
-    return {name: digest(corpus, params) for name, corpus, params in cases()}
+def snapshot(rows: Rows = None) -> dict[str, str]:
+    """Every case's digest; with ``rows`` (``bytes``, say), each corpus's rows rebuilt by it."""
+    out: dict[str, str] = {}
+    for name, corpus, params in cases():
+        if rows is not None:
+            corpus = with_rows(corpus, rows)
+        out[name] = digest(corpus, params)
+    return out
 
 
 def write() -> None:
@@ -95,6 +105,11 @@ def test_every_case_matches_its_golden_digest():
     assert list(got) == list(golden), "the case list changed; regenerate with write()"
     changed = [name for name in golden if got[name] != golden[name]]
     assert not changed, f"{len(changed)} of {len(golden)} digests changed: {changed[:10]}"
+
+
+def test_bytes_rows_give_the_same_digests():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert snapshot(bytes) == golden
 
 
 if __name__ == "__main__":

@@ -10,7 +10,9 @@ two bundled corpora. Each corpus has two cases:
 
 Each case is the ``repr`` of its answers, reduced to the first 16 hex
 digits of its SHA-256, so every float affinity is pinned to the last
-bit. The digests live in ``tests/data/golden_retrieval.json``. When a
+bit. The digests live in ``tests/data/golden_retrieval.json``. The same
+corpora with ``bytes`` rows, as the parsers store them, must give the
+same digests as the tuple rows that library callers build. When a
 change to the answers is intended, regenerate the file with::
 
     PYTHONPATH=src python tests/test_golden_retrieval.py
@@ -27,7 +29,8 @@ import random
 from pathlib import Path
 from typing import Any, Iterator
 
-from test_golden import random_cases
+from conftest import with_rows
+from test_golden import Rows, random_cases
 from polyclust import datasets
 from polyclust.model import Corpus
 from polyclust.retrieval import PolymorphousQuery, retrieve, retrieve_by_seed
@@ -67,10 +70,13 @@ def digest(answers: tuple[Any, ...]) -> str:
     return hashlib.sha256(repr(answers).encode("utf-8")).hexdigest()[:16]
 
 
-def snapshot() -> dict[str, str]:
+def snapshot(rows: Rows = None) -> dict[str, str]:
+    """Every case's digest; with ``rows`` (``bytes``, say), each corpus's rows rebuilt by it."""
     rng = random.Random(20132)
     out: dict[str, str] = {}
     for name, corpus, rules in corpora():
+        if rows is not None:
+            corpus = with_rows(corpus, rows)
         out[f"{name}/seed"] = digest(seed_answers(corpus))
         out[f"{name}/rule"] = digest(rule_answers(corpus, rules, rng))
     return out
@@ -88,6 +94,11 @@ def test_every_retrieval_case_matches_its_golden_digest():
     assert list(got) == list(golden), "the case list changed; regenerate with write()"
     changed = [name for name in golden if got[name] != golden[name]]
     assert not changed, f"{len(changed)} of {len(golden)} digests changed: {changed[:10]}"
+
+
+def test_bytes_rows_give_the_same_digests():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert snapshot(bytes) == golden
 
 
 if __name__ == "__main__":
