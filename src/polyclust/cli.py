@@ -194,7 +194,7 @@ def query(
             raise click.UsageError(str(exc)) from exc
         for obj_id in retrieval.retrieve(corpus, q):
             obj = corpus.objects[obj_id]
-            click.echo(f"{obj.label}\t{q.count_in(obj)}/{q.m} of {len(q.feature_set)}")
+            click.echo(f"{obj.label}\t{obj.count(q.feature_set)}/{q.m} of {len(q.feature_set)}")
         return
     if top < 1:
         raise click.UsageError(f"--top must be positive, got {top}")

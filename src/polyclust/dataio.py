@@ -52,6 +52,16 @@ class RefRecord:
     keywords: tuple[str, ...]
 
 
+def _csv_rows(text: str) -> list[tuple[int, list[str]]]:
+    """The non-blank CSV rows as (line number, stripped cells)."""
+    reader = csv.reader(io.StringIO(text))
+    return [
+        (reader.line_num, [cell.strip() for cell in row])
+        for row in reader
+        if any(cell.strip() for cell in row)
+    ]
+
+
 def parse_csv(text: str) -> Table:
     """Parse a CSV attribute table.
 
@@ -59,12 +69,7 @@ def parse_csv(text: str) -> Table:
     (case-insensitive) supplies object labels. Ragged rows and empty
     header cells are reported with their line numbers.
     """
-    reader = csv.reader(io.StringIO(text))
-    raw: list[tuple[int, list[str]]] = []
-    for row in reader:
-        if not row or not any(cell.strip() for cell in row):
-            continue
-        raw.append((reader.line_num, [cell.strip() for cell in row]))
+    raw = _csv_rows(text)
     if not raw:
         raise ParseError("empty input: no header row")
     header_line, header = raw[0]
@@ -277,12 +282,7 @@ def parse_matrix(text: str) -> Corpus:
     acceptance of a matrix corpus never depends on encoding choices.
     Each row is stored as `bytes`, one byte (0 or 1) per feature.
     """
-    reader = csv.reader(io.StringIO(text))
-    raw: list[tuple[int, list[str]]] = []
-    for row in reader:
-        if not row or not any(cell.strip() for cell in row):
-            continue
-        raw.append((reader.line_num, [cell.strip() for cell in row]))
+    raw = _csv_rows(text)
     if not raw:
         raise ParseError("empty input: no rows")
     arity = len(raw[0][1])
@@ -300,28 +300,6 @@ def parse_matrix(text: str) -> Corpus:
         objects.append(ObjectInstance(obj_id, cells[0], bytes(bits)))
     space = FeatureSpace(tuple((f"f{i}", f"f{i}") for i in range(arity - 1)))
     return Corpus(space, tuple(objects))
-
-
-def decode_table(corpus: Corpus) -> Table:
-    """Invert one-hot encoding back to a multi-valued table.
-
-    Only defined for one-hot corpora: each attribute block must hold at
-    most one set indicator per object (none decodes as missing).
-    """
-    blocks = corpus.space.attribute_blocks()
-    attributes = tuple(blocks.keys())
-    rows: list[tuple[str, ...]] = []
-    for obj in corpus.objects:
-        cells: list[str] = []
-        for attr in attributes:
-            hits = [f for f in blocks[attr] if obj.bits[f]]
-            if len(hits) > 1:
-                raise CorpusError(
-                    f"object {obj.label!r}: attribute {attr!r} has {len(hits)} set indicators"
-                )
-            cells.append(corpus.space.features[hits[0]][1] if hits else "")
-        rows.append(tuple(cells))
-    return Table(attributes, tuple(rows), tuple(obj.label for obj in corpus.objects))
 
 
 def emit_json(result: "RunResult") -> str:

@@ -57,9 +57,8 @@ def polymorphous_rule(
         raise NoRuleFeatures(
             f"no rule features: alpha {alpha} exceeds every in-category frequency"
         )
-    m = min(
-        sum(corpus.objects[i].bits[f] for f in feature_set) for i in category.members
-    )
+    objects = corpus.objects
+    m = min(objects[i].count(feature_set) for i in category.members)
     necessary = tuple(f for f in range(len(freqs)) if freqs[f] == 1.0)
     if clustered is None:
         universe = set(range(len(corpus)))
@@ -69,32 +68,11 @@ def polymorphous_rule(
     present = [f for f in range(len(freqs)) if freqs[f] > 0.0]
     sufficient = tuple(
         f for f in present
-        if all(corpus.objects[o].bits[f] == 0 for o in outside)
+        if all(objects[o].bits[f] == 0 for o in outside)
     )
-    alarms = sum(
-        1 for o in outside
-        if sum(corpus.objects[o].bits[f] for f in feature_set) >= m
-    )
+    alarms = sum(1 for o in outside if objects[o].count(feature_set) >= m)
     rate = alarms / len(outside) if outside else 0.0
     return PolymorphousRule(m, feature_set, necessary, sufficient, rate)
-
-
-def misclassification(
-    rule: PolymorphousRule, category: Category, field: ConceptField, corpus: Corpus
-) -> tuple[int, int]:
-    """(false alarms, misses) of a category's rule against the clustered objects.
-
-    Misses are asserted to be zero: the rule's m is the minimum feature
-    count over the members it was extracted from.
-    """
-    members = set(category.members)
-    outside = [i for i in field.clustered() if i not in members]
-    false_alarms = sum(1 for i in outside if rule.satisfied_by(corpus.objects[i]))
-    misses = sum(
-        1 for i in category.members if not rule.satisfied_by(corpus.objects[i])
-    )
-    assert misses == 0, f"rule misses {misses} of its own members"
-    return false_alarms, misses
 
 
 def describe_step(step: "TraceStep", corpus: Corpus) -> str:

@@ -52,27 +52,12 @@ class TraceStep:
 
 
 @dataclass(frozen=True)
-class EngineState:
-    mode: Mode
-    field: ConceptField
-
-
-@dataclass(frozen=True)
 class FieldValidity:
     """Cohesion and pairwise cross-affinity of a field, plus the verdict."""
 
     cohesions: tuple[float, ...]
     distinctiveness: tuple[tuple[float, ...], ...]
     ok: bool
-
-    def margin(self, i: int) -> Optional[float]:
-        """Smallest cohesion margin of category i over its cross affinities."""
-        others = [
-            self.cohesions[i] - self.distinctiveness[i][j]
-            for j in range(len(self.cohesions))
-            if j != i
-        ]
-        return min(others) if others else None
 
 
 @dataclass(frozen=True)
@@ -159,24 +144,19 @@ def field_valid(field: ConceptField, corpus: Corpus, params: Parameters) -> Fiel
     return _validity(members, params, affinity_matrix(corpus))
 
 
-def _require_mode(state: EngineState, mode: Mode) -> None:
-    if state.mode is not mode:
-        raise ValueError(f"expected mode {mode.value}, state is in {state.mode.value}")
-
-
 def protoseed_hunt(
-    state: EngineState, aff: AffinityMatrix, params: Parameters
+    field: ConceptField, aff: AffinityMatrix, params: Parameters
 ) -> Optional[Category]:
     """Promote the best-affinity unclustered pair, if the field stays valid.
 
     Only the single maximum-affinity pair of the corpus's affinity
-    matrix aff (ties: lexicographically smallest id pair) is
-    hypothesized; None signals an impasse.
+    matrix aff among the field's unclustered objects (ties:
+    lexicographically smallest id pair) is hypothesized; None signals
+    an impasse.
     """
-    _require_mode(state, Mode.PROTOSEED_HUNTING)
     best_pair: Optional[tuple[int, int]] = None
     best_aff = 0.0
-    for i, j in combinations(sorted(state.field.unclustered), 2):
+    for i, j in combinations(sorted(field.unclustered), 2):
         a = aff[i][j]
         if a > 0.0 and (best_pair is None or a > best_aff):
             best_aff = a
@@ -184,25 +164,23 @@ def protoseed_hunt(
     if best_pair is None:
         return None
     candidate = _new_category(best_pair, aff)
-    member_sets = [c.members for c in state.field.categories] + [candidate.members]
+    member_sets = [c.members for c in field.categories] + [candidate.members]
     if _validity(member_sets, params, aff).ok:
         return candidate
     return None
 
 
 def object_hunt(
-    state: EngineState, aff: AffinityMatrix, params: Parameters
+    field: ConceptField, aff: AffinityMatrix, params: Parameters
 ) -> Optional[tuple[int, int]]:
-    """Best valid (object, category) addition by post-addition cohesion.
+    """Best valid (object, category) addition to the field, by post-addition cohesion.
 
     Cohesions come from the corpus's affinity matrix aff. Ties break by
     lowest object id, then lowest category index. None signals an
     impasse.
     """
-    _require_mode(state, Mode.OBJECT_HUNTING)
-    if not state.field.categories:
+    if not field.categories:
         raise ValueError("object hunting requires at least one category")
-    field = state.field
     best_key: Optional[tuple[float, int, int]] = None
     best: Optional[tuple[int, int]] = None
     for idx, cat in enumerate(field.categories):
@@ -220,15 +198,13 @@ def object_hunt(
 
 
 def merge_hunt(
-    state: EngineState, aff: AffinityMatrix, params: Parameters
+    field: ConceptField, aff: AffinityMatrix, params: Parameters
 ) -> Optional[tuple[int, int]]:
-    """Best valid category pair to merge, by merged cohesion.
+    """Best valid pair of the field's categories to merge, by merged cohesion.
 
     Cohesions come from the corpus's affinity matrix aff. Ties break by
     lowest index pair. None signals an impasse.
     """
-    _require_mode(state, Mode.PROTOTYPE_MERGING)
-    field = state.field
     best_key: Optional[tuple[float, int, int]] = None
     best: Optional[tuple[int, int]] = None
     for i, j in combinations(range(len(field.categories)), 2):
@@ -282,9 +258,8 @@ def run(
             on_action(field, step)
 
     while mode is not Mode.DONE:
-        state = EngineState(mode, field)
         if mode is Mode.PROTOSEED_HUNTING:
-            candidate = protoseed_hunt(state, aff, params)
+            candidate = protoseed_hunt(field, aff, params)
             if candidate is None:
                 mode = Mode.PROTOTYPE_MERGING
                 continue
@@ -303,7 +278,7 @@ def run(
             )
             mode = Mode.OBJECT_HUNTING
         elif mode is Mode.OBJECT_HUNTING:
-            found = object_hunt(state, aff, params)
+            found = object_hunt(field, aff, params)
             if found is None:
                 mode = Mode.PROTOSEED_HUNTING
                 continue
@@ -314,7 +289,7 @@ def run(
             new_field = ConceptField(tuple(categories), _remove_unclustered(field, (obj,)))
             accepted(new_field, TraceStep("add", (obj,), idx, updated.cohesion))
         else:  # Mode.PROTOTYPE_MERGING
-            found = merge_hunt(state, aff, params)
+            found = merge_hunt(field, aff, params)
             if found is None:
                 mode = Mode.DONE
                 continue

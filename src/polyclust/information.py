@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import Category, ConceptField, Corpus, ObjectInstance
+from .model import ObjectInstance
 
 Bits = float
 
@@ -99,22 +99,3 @@ def gated_transmission(t: PairTable) -> Bits:
 def affinity(a: ObjectInstance, b: ObjectInstance) -> Bits:
     """Transmission between two objects, zero unless positively associated."""
     return gated_transmission(object_pair_table(a, b))
-
-
-def category_validity(
-    field: ConceptField, corpus: Corpus, feature: int
-) -> list[tuple[Category, float]]:
-    """P(category | feature) for each category, over clustered objects only."""
-    per_category: list[int] = []
-    clustered_count = 0
-    for cat in field.categories:
-        k = sum(corpus.objects[i].bits[feature] for i in cat.members)
-        per_category.append(k)
-        clustered_count += k
-    if clustered_count == 0:
-        raise ValueError(
-            f"undefined validity: feature {feature} absent from every clustered object"
-        )
-    return [
-        (cat, k / clustered_count) for cat, k in zip(field.categories, per_category)
-    ]

@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 class CorpusError(ValueError):
@@ -102,13 +102,6 @@ class FeatureSpace:
             raise CorpusError(f"unknown feature label {label!r}")
         return hit
 
-    def attribute_blocks(self) -> dict[str, list[int]]:
-        """Feature indices grouped by attribute, in first-appearance order."""
-        blocks: dict[str, list[int]] = {}
-        for idx, (attr, _) in enumerate(self.features):
-            blocks.setdefault(attr, []).append(idx)
-        return blocks
-
 
 @dataclass(frozen=True)
 class ObjectInstance:
@@ -130,6 +123,10 @@ class ObjectInstance:
     @property
     def ones(self) -> int:
         return sum(self.bits)
+
+    def count(self, features: Iterable[int]) -> int:
+        """How many of the given features the object has: the one m-of-n count."""
+        return sum(map(self.bits.__getitem__, features))
 
 
 @dataclass(frozen=True)
@@ -302,9 +299,6 @@ class PolymorphousRule:
     @property
     def polymorphous(self) -> bool:
         return self.m < self.n
-
-    def satisfied_by(self, obj: ObjectInstance) -> bool:
-        return sum(obj.bits[f] for f in self.feature_set) >= self.m
 
 
 @dataclass(frozen=True)

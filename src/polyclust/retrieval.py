@@ -6,11 +6,13 @@ conjunctions. Seed retrieval ranks the rest of the corpus by affinity
 to one chosen object.
 
 Both validate the corpus first, once per corpus, and raise the same
-CorpusError as ``engine.run``. Rule queries scan every object. Seed
-queries read the corpus's feature index (``Corpus.feature_index``),
-which the first seed query builds and the corpus caches: only objects
-that share a feature with the seed are scored, because every other
-object's affinity to it is exactly 0.
+CorpusError as ``engine.run``. Rule queries scan every object and
+count its query features with ``ObjectInstance.count``, the same count
+that gives a category rule its m and its false alarms. Seed queries
+read the corpus's feature index (``Corpus.feature_index``), which the
+first seed query builds and the corpus caches: only objects that share
+a feature with the seed are scored, because every other object's
+affinity to it is exactly 0.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from itertools import chain, compress, islice
 from typing import Iterable
 
 from . import information
-from .model import Corpus, ObjectInstance
+from .model import Corpus
 
 
 @dataclass(frozen=True)
@@ -29,7 +31,6 @@ class PolymorphousQuery:
     """An "at least m of these features" query, resolved against a corpus."""
 
     m: int
-    feature_labels: tuple[str, ...]
     feature_set: tuple[int, ...]
 
     @classmethod
@@ -44,23 +45,14 @@ class PolymorphousQuery:
                 indices.append(idx)
         if not 1 <= m <= len(indices):
             raise ValueError(f"m={m} outside [1, {len(indices)}]")
-        return cls(m, names, tuple(indices))
-
-    def count_in(self, obj: ObjectInstance) -> int:
-        return sum(map(obj.bits.__getitem__, self.feature_set))
-
-
-def match(query: PolymorphousQuery, obj: ObjectInstance) -> bool:
-    """True when the object possesses at least m of the query features."""
-    return query.count_in(obj) >= query.m
+        return cls(m, tuple(indices))
 
 
 def retrieve(corpus: Corpus, query: PolymorphousQuery) -> tuple[int, ...]:
     """All matching object ids, by descending query-feature count, then id."""
     corpus.validate()
-    m = query.m
-    counts = map(query.count_in, corpus.objects)
-    scored = [(count, obj.id) for obj, count in zip(corpus.objects, counts) if count >= m]
+    m, features = query.m, query.feature_set
+    scored = [(c, obj.id) for obj in corpus.objects if (c := obj.count(features)) >= m]
     scored.sort(key=lambda t: (-t[0], t[1]))
     return tuple(obj_id for _, obj_id in scored)
 

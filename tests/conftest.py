@@ -7,7 +7,9 @@ affinity matrix, in ``engine``; these are the references it is checked
 against. ``retrieve_by_seed_scan`` likewise ranks every object by its
 own ``information.affinity`` to the seed; the program scores only the
 objects that share a feature with the seed, through the corpus's
-feature index.
+feature index. ``misclassification`` counts a rule's false alarms and
+misses over a field, through ``ObjectInstance.count``, the count that
+rule extraction and retrieval use.
 """
 
 from __future__ import annotations
@@ -19,7 +21,14 @@ import pytest
 
 from polyclust import datasets, information
 from polyclust.information import Bits, affinity
-from polyclust.model import Category, Corpus, FeatureSpace, ObjectInstance
+from polyclust.model import (
+    Category,
+    ConceptField,
+    Corpus,
+    FeatureSpace,
+    ObjectInstance,
+    PolymorphousRule,
+)
 
 
 def bits_corpus(
@@ -102,6 +111,33 @@ def retrieve_by_seed_scan(
     ]
     ranked.sort(key=lambda t: (-t[0], t[1]))
     return tuple((obj_id, aff) for aff, obj_id in ranked[:k])
+
+
+def margin(
+    cohesions: Sequence[float], cross: Sequence[Sequence[float]], i: int
+) -> Optional[float]:
+    """Smallest margin of category i's cohesion over its cross affinities; None alone."""
+    others = [cohesions[i] - cross[i][j] for j in range(len(cohesions)) if j != i]
+    return min(others) if others else None
+
+
+def misclassification(
+    rule: PolymorphousRule, category: Category, field: ConceptField, corpus: Corpus
+) -> tuple[int, int]:
+    """(false alarms, misses) of a category's rule against the clustered objects.
+
+    Misses are asserted to be zero: the rule's m is the minimum feature
+    count over the members it was extracted from.
+    """
+
+    def satisfied(i: int) -> bool:
+        return corpus.objects[i].count(rule.feature_set) >= rule.m
+
+    members = set(category.members)
+    false_alarms = sum(1 for i in field.clustered() if i not in members and satisfied(i))
+    misses = sum(1 for i in category.members if not satisfied(i))
+    assert misses == 0, f"rule misses {misses} of its own members"
+    return false_alarms, misses
 
 
 def make_category(corpus: Corpus, ids: Sequence[int]) -> Category:

@@ -6,6 +6,7 @@ import json
 import logging
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -16,7 +17,6 @@ from polyclust.dataio import (
     RefRecord,
     Table,
     _keep_informative,
-    decode_table,
     one_hot_encode,
     parse_csv,
     parse_matrix,
@@ -146,16 +146,15 @@ class TestOneHotEncode:
         )
 
     def test_one_hot_blocks_have_at_most_one_indicator(self, shapes_corpus):
-        blocks = shapes_corpus.space.attribute_blocks()
+        features = shapes_corpus.space.features
         for obj in shapes_corpus.objects:
-            for indices in blocks.values():
-                assert sum(obj.bits[f] for f in indices) <= 1
+            held = Counter(attr for (attr, _), bit in zip(features, obj.bits) if bit)
+            assert all(k <= 1 for k in held.values())
 
     def test_missing_value_encodes_all_zero(self):
         corpus = one_hot_encode(parse_csv("shape,color\ncircular,black\n,white\n"))
-        blocks = corpus.space.attribute_blocks()
-        row1 = corpus.objects[1]
-        assert sum(row1.bits[f] for f in blocks["shape"]) == 0
+        shape = [f for f, (attr, _) in enumerate(corpus.space.features) if attr == "shape"]
+        assert corpus.objects[1].count(shape) == 0
 
     def test_universal_keyword_dropped_with_notice(self, caplog):
         text = (
@@ -213,9 +212,21 @@ class TestOneHotEncode:
             rows.append(tuple(values[a][1] for a in attributes))
             table = Table(attributes, tuple(rows))
             corpus = one_hot_encode(table)
-            decoded = decode_table(corpus)
-            assert decoded.attributes == table.attributes
-            assert decoded.rows == table.rows
+            features = corpus.space.features
+            assert list(dict.fromkeys(a for a, _ in features)) == list(attributes)
+            decoded = []
+            for obj in corpus.objects:
+                cells = []
+                for attr in attributes:
+                    hits = [
+                        value
+                        for f, (a, value) in enumerate(features)
+                        if a == attr and obj.bits[f]
+                    ]
+                    assert len(hits) <= 1
+                    cells.append(hits[0] if hits else "")
+                decoded.append(tuple(cells))
+            assert tuple(decoded) == table.rows
 
 
 class TestParseMatrix:
@@ -469,13 +480,15 @@ class TestEncodersAgreeWithListScanOracle:
         rng = random.Random("csv-differential")
         outcomes = set()
         for _ in range(300):
-            table = _random_table(rng)
-            got = _outcome(lambda: one_hot_encode(table), caplog)
-            want = _outcome(lambda: _oracle_encode_table(table), caplog)
-            assert got == want, table
-            outcomes.add(got[0][0] if isinstance(got[0][0], str) else "ok")
-            if got[0][0] != "CorpusError":
-                outcomes.add("notice" if got[1] else "clean")
+            labelled = _random_table(rng)
+            # each table also without its label column: objects are named row1..
+            for table in (labelled, Table(labelled.attributes, labelled.rows)):
+                got = _outcome(lambda: one_hot_encode(table), caplog)
+                want = _outcome(lambda: _oracle_encode_table(table), caplog)
+                assert got == want, table
+                outcomes.add(got[0][0] if isinstance(got[0][0], str) else "ok")
+                if got[0][0] != "CorpusError":
+                    outcomes.add("notice" if got[1] else "clean")
         assert outcomes >= {"CorpusError", "ok", "notice", "clean"}
 
     def test_parsed_refer_text_and_bundled_corpora(self, caplog):

@@ -7,11 +7,9 @@ from collections import Counter
 
 import pytest
 
-from conftest import best_member, bits_corpus, cohesion, distinctiveness, make_category
+from conftest import best_member, bits_corpus, cohesion, distinctiveness, make_category, margin
 from polyclust import description, emit_json, engine, information, run
 from polyclust.engine import (
-    EngineState,
-    Mode,
     _mean_across,
     _mean_within,
     _new_category,
@@ -24,12 +22,12 @@ from polyclust.engine import (
 from polyclust.model import ConceptField, Corpus, Parameters
 
 
-def state(corpus: Corpus, mode: Mode, categories=(), unclustered=None) -> EngineState:
+def field_of(corpus: Corpus, categories=(), unclustered=None) -> ConceptField:
     cats = tuple(make_category(corpus, ids) for ids in categories)
     if unclustered is None:
         taken = {i for ids in categories for i in ids}
         unclustered = tuple(i for i in range(len(corpus)) if i not in taken)
-    return EngineState(mode, ConceptField(cats, tuple(unclustered)))
+    return ConceptField(cats, tuple(unclustered))
 
 
 DEFAULTS = Parameters()  # 0.4 / 0.2 / 0.5
@@ -48,7 +46,7 @@ class TestFieldValid:
         validity = field_valid(field, corpus, DEFAULTS)
         assert validity.ok
         assert validity.cohesions == (1.0,)
-        assert validity.margin(0) is None
+        assert margin(validity.cohesions, validity.distinctiveness, 0) is None
 
     def test_copied_categories_have_zero_margin(self):
         corpus = bits_corpus(["1100", "1100", "1100", "1100"])
@@ -58,80 +56,75 @@ class TestFieldValid:
         validity = field_valid(field, corpus, DEFAULTS)
         assert not validity.ok
         assert validity.cohesions == (1.0, 1.0)
-        assert validity.margin(0) == 0.0
+        assert margin(validity.cohesions, validity.distinctiveness, 0) == 0.0
 
 
 class TestProtoseedHunt:
     def test_promotes_best_pair(self):
         corpus = bits_corpus(["1100", "1100", "0011"])
-        got = protoseed_hunt(state(corpus, Mode.PROTOSEED_HUNTING), affinity_matrix(corpus), DEFAULTS)
+        got = protoseed_hunt(field_of(corpus), affinity_matrix(corpus), DEFAULTS)
         assert got is not None
         assert got.members == (0, 1)
         assert got.cohesion == 1.0
 
     def test_all_independent_is_impasse(self):
         corpus = bits_corpus(["1100", "1010", "0110"])
-        assert protoseed_hunt(state(corpus, Mode.PROTOSEED_HUNTING), affinity_matrix(corpus), DEFAULTS) is None
+        assert protoseed_hunt(field_of(corpus), affinity_matrix(corpus), DEFAULTS) is None
 
     def test_single_object_is_impasse(self):
         corpus = bits_corpus(["1100"])
-        assert protoseed_hunt(state(corpus, Mode.PROTOSEED_HUNTING), affinity_matrix(corpus), DEFAULTS) is None
+        assert protoseed_hunt(field_of(corpus), affinity_matrix(corpus), DEFAULTS) is None
 
     def test_tie_breaks_to_smallest_id_pair(self):
         corpus = bits_corpus(["1100", "1100", "1100"])
-        got = protoseed_hunt(state(corpus, Mode.PROTOSEED_HUNTING), affinity_matrix(corpus), DEFAULTS)
+        got = protoseed_hunt(field_of(corpus), affinity_matrix(corpus), DEFAULTS)
         assert got is not None and got.members == (0, 1)
 
     def test_rejected_when_field_would_go_invalid(self):
         # a second copy of an existing category has zero margin
         corpus = bits_corpus(["1100", "1100", "1100", "1100"])
-        st = state(corpus, Mode.PROTOSEED_HUNTING, categories=((0, 1),))
-        assert protoseed_hunt(st, affinity_matrix(corpus), DEFAULTS) is None
-
-    def test_mode_precondition(self):
-        corpus = bits_corpus(["1100", "1100"])
-        with pytest.raises(ValueError, match="expected mode"):
-            protoseed_hunt(state(corpus, Mode.OBJECT_HUNTING), affinity_matrix(corpus), DEFAULTS)
+        field = field_of(corpus, categories=((0, 1),))
+        assert protoseed_hunt(field, affinity_matrix(corpus), DEFAULTS) is None
 
 
 class TestObjectHunt:
     def test_adds_duplicate_keeping_cohesion(self):
         corpus = bits_corpus(["1100", "1100", "1100"])
-        st = state(corpus, Mode.OBJECT_HUNTING, categories=((0, 1),))
-        assert object_hunt(st, affinity_matrix(corpus), DEFAULTS) == (2, 0)
+        field = field_of(corpus, categories=((0, 1),))
+        assert object_hunt(field, affinity_matrix(corpus), DEFAULTS) == (2, 0)
 
     def test_rejects_addition_that_drops_cohesion(self):
         corpus = bits_corpus(["1100", "1100", "0011"])
-        st = state(corpus, Mode.OBJECT_HUNTING, categories=((0, 1),))
-        assert object_hunt(st, affinity_matrix(corpus), DEFAULTS) is None  # new W would be 1/3 < 0.4
+        field = field_of(corpus, categories=((0, 1),))
+        assert object_hunt(field, affinity_matrix(corpus), DEFAULTS) is None  # new W would be 1/3 < 0.4
 
     def test_no_unclustered_is_impasse(self):
         corpus = bits_corpus(["1100", "1100"])
-        st = state(corpus, Mode.OBJECT_HUNTING, categories=((0, 1),))
-        assert object_hunt(st, affinity_matrix(corpus), DEFAULTS) is None
+        field = field_of(corpus, categories=((0, 1),))
+        assert object_hunt(field, affinity_matrix(corpus), DEFAULTS) is None
 
     def test_requires_a_category(self):
         corpus = bits_corpus(["1100", "1100"])
         with pytest.raises(ValueError, match="at least one category"):
-            object_hunt(state(corpus, Mode.OBJECT_HUNTING), affinity_matrix(corpus), DEFAULTS)
+            object_hunt(field_of(corpus), affinity_matrix(corpus), DEFAULTS)
 
 
 class TestMergeHunt:
     def test_merges_identical_categories(self):
         corpus = bits_corpus(["1100", "1100", "1100", "1100"])
-        st = state(corpus, Mode.PROTOTYPE_MERGING, categories=((0, 1), (2, 3)))
+        field = field_of(corpus, categories=((0, 1), (2, 3)))
         # the two-copy field is invalid as it stands, but the merge repairs it
-        assert merge_hunt(st, affinity_matrix(corpus), DEFAULTS) == (0, 1)
+        assert merge_hunt(field, affinity_matrix(corpus), DEFAULTS) == (0, 1)
 
     def test_rejects_merge_below_cohesion_threshold(self):
         corpus = bits_corpus(["1100", "1100", "0011", "0011"])
-        st = state(corpus, Mode.PROTOTYPE_MERGING, categories=((0, 1), (2, 3)))
-        assert merge_hunt(st, affinity_matrix(corpus), DEFAULTS) is None  # merged W = 1/3 < 0.4
+        field = field_of(corpus, categories=((0, 1), (2, 3)))
+        assert merge_hunt(field, affinity_matrix(corpus), DEFAULTS) is None  # merged W = 1/3 < 0.4
 
     def test_single_category_is_impasse(self):
         corpus = bits_corpus(["1100", "1100"])
-        st = state(corpus, Mode.PROTOTYPE_MERGING, categories=((0, 1),))
-        assert merge_hunt(st, affinity_matrix(corpus), DEFAULTS) is None
+        field = field_of(corpus, categories=((0, 1),))
+        assert merge_hunt(field, affinity_matrix(corpus), DEFAULTS) is None
 
 
 class TestRun:

@@ -8,16 +8,15 @@ from itertools import permutations
 
 import pytest
 
-from conftest import bits_corpus, cohesion, distinctiveness, make_category
+from conftest import bits_corpus, cohesion, distinctiveness
 from polyclust.information import (
     PairTable,
     affinity,
-    category_validity,
     entropy,
     object_pair_table,
     transmission,
 )
-from polyclust.model import ConceptField, ObjectInstance
+from polyclust.model import ObjectInstance
 
 
 def kl_transmission(t: PairTable) -> float:
@@ -217,27 +216,3 @@ class TestDistinctiveness:
         left = corpus.objects[:2]
         right = corpus.objects[2:]
         assert distinctiveness(left, right) == distinctiveness(right, left)
-
-
-class TestCategoryValidity:
-    def test_exclusive_feature(self):
-        corpus = bits_corpus(["1100", "1100", "0011", "0011"])
-        field = ConceptField(
-            (make_category(corpus, (0, 1)), make_category(corpus, (2, 3))), ()
-        )
-        values = category_validity(field, corpus, 0)
-        assert [p for _, p in values] == [1.0, 0.0]
-
-    def test_split_feature(self):
-        corpus = bits_corpus(["1100", "1100", "1011", "1011"])
-        field = ConceptField(
-            (make_category(corpus, (0, 1)), make_category(corpus, (2, 3))), ()
-        )
-        values = category_validity(field, corpus, 0)
-        assert [p for _, p in values] == [0.5, 0.5]
-
-    def test_absent_feature_undefined(self):
-        corpus = bits_corpus(["1100", "1100", "0100"])
-        field = ConceptField((make_category(corpus, (0, 1)),), (2,))
-        with pytest.raises(ValueError, match="undefined validity"):
-            category_validity(field, corpus, 3)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import bits_corpus, make_category
+from conftest import bits_corpus, make_category, with_rows
 from polyclust.model import (
     Category,
     ConceptField,
@@ -290,10 +290,11 @@ class TestPolymorphousRule:
         assert not PolymorphousRule(2, (0, 1), (), (), 0.0).polymorphous
 
     def test_satisfied_by(self):
-        corpus = bits_corpus(["110", "100"])
         rule = PolymorphousRule(2, (0, 1, 2), (), (), 0.0)
-        assert rule.satisfied_by(corpus.objects[0])
-        assert not rule.satisfied_by(corpus.objects[1])
+        for rows in (tuple, bytes):
+            corpus = with_rows(bits_corpus(["110", "100"]), rows)
+            assert corpus.objects[0].count(rule.feature_set) == 2 >= rule.m
+            assert corpus.objects[1].count(rule.feature_set) == 1 < rule.m
 
 
 class TestConceptField:

@@ -10,10 +10,12 @@ from typing import Iterator
 import pytest
 
 from conftest import bits_corpus, retrieve_by_seed_scan
-from polyclust import model
+from test_description import two_of_three_field
+from test_golden import random_cases
+from polyclust import model, run
 from polyclust.information import object_pair_table
 from polyclust.model import Corpus, CorpusError, FeatureSpace, ObjectInstance, validate_corpus
-from polyclust.retrieval import PolymorphousQuery, match, retrieve, retrieve_by_seed
+from polyclust.retrieval import PolymorphousQuery, retrieve, retrieve_by_seed
 
 
 def subsets_corpus(n: int):
@@ -26,12 +28,12 @@ class TestMatch:
     def test_two_of_three_with_two_features(self):
         corpus = bits_corpus(["110"], features=["a", "b", "c"])
         query = PolymorphousQuery.resolve(corpus, 2, ("a", "b", "c"))
-        assert match(query, corpus.objects[0])
+        assert corpus.objects[0].count(query.feature_set) == 2 >= query.m
 
     def test_two_of_three_with_one_feature(self):
         corpus = bits_corpus(["100"], features=["a", "b", "c"])
         query = PolymorphousQuery.resolve(corpus, 2, ("a", "b", "c"))
-        assert not match(query, corpus.objects[0])
+        assert corpus.objects[0].count(query.feature_set) == 1 < query.m
 
     def test_equals_dnf_expansion_exhaustively(self):
         for n in range(1, 6):
@@ -44,20 +46,20 @@ class TestMatch:
                         all(obj.bits[f] for f in combo)
                         for combo in combinations(range(n), m)
                     )
-                    assert match(query, obj) == dnf
+                    assert (obj.count(query.feature_set) >= m) == dnf
 
     def test_monotone_under_added_features(self):
         corpus = subsets_corpus(5)
         query = PolymorphousQuery.resolve(corpus, 2, ("f0", "f2", "f4"))
         for obj in corpus.objects:
-            if not match(query, obj):
+            if obj.count(query.feature_set) < query.m:
                 continue
             for flip in range(5):
                 richer_bits = tuple(
                     1 if f == flip else b for f, b in enumerate(obj.bits)
                 )
                 richer = bits_corpus(["".join(map(str, richer_bits))]).objects[0]
-                assert match(query, richer)
+                assert richer.count(query.feature_set) >= query.m
 
     def test_unresolved_label_names_it(self):
         corpus = bits_corpus(["10"], features=["a", "b"])
@@ -93,7 +95,7 @@ class TestRetrieve:
             names = rng.sample([f"f{i}" for i in range(5)], size)
             query = PolymorphousQuery.resolve(corpus, rng.randint(1, size), names)
             for obj_id in retrieve(corpus, query):
-                assert match(query, corpus.objects[obj_id])
+                assert corpus.objects[obj_id].count(query.feature_set) >= query.m
 
     def test_visual_search_returns_abstracts_4_and_6(self, abstracts_corpus):
         query = PolymorphousQuery.resolve(abstracts_corpus, 1, ("VISUAL SEARCH",))
@@ -102,6 +104,34 @@ class TestRetrieve:
             "abstract 4",
             "abstract 6",
         }
+
+
+class TestRuleDoublesAsQuery:
+    """A category's rule, run as a query, returns every member and exactly its false alarms."""
+
+    def test_golden_corpora_and_the_two_of_three_field(self, shapes_corpus):
+        fields = [(corpus, run(corpus, params).field) for _, corpus, params in random_cases()]
+        fields.append((shapes_corpus, two_of_three_field(shapes_corpus)))
+        seen: Counter[str] = Counter()
+        for corpus, field in fields:
+            labels = corpus.space.labels
+            for cat in field.categories:
+                rule = cat.rule
+                if rule is None or rule.m < 1:
+                    continue
+                names = [labels[f] for f in rule.feature_set]
+                query = PolymorphousQuery.resolve(corpus, rule.m, names)
+                assert query.feature_set == rule.feature_set
+                hits = set(retrieve(corpus, query))
+                assert hits.issuperset(cat.members)
+                outsiders = set(field.clustered()).difference(cat.members)
+                alarms = len(hits & outsiders)
+                assert rule.false_alarm_rate == (alarms / len(outsiders) if outsiders else 0.0)
+                seen["rules"] += 1
+                seen["polymorphous"] += rule.polymorphous
+                seen["with false alarms"] += alarms > 0
+                seen["unclustered hits"] += bool(hits - outsiders - set(cat.members))
+        assert min(seen.values()) > 0 and len(seen) == 4, seen
 
 
 class TestRetrieveBySeed:
