@@ -222,6 +222,67 @@ class TestRun:
                 assert field_valid(result.field, corpus, params).ok
 
 
+class TestRunAcceptsAMerge:
+    """Runs whose trace ends in an accepted merge, pinned step by step.
+
+    Both cases keep every decision clear of its threshold, so they pin
+    the loop's merge branch rather than the rounding of a comparison.
+    """
+
+    CASES = [
+        (
+            ["0111", "0111", "1101", "1101", "0100"],
+            Parameters(0.2, 0.0),
+            [
+                ("protoseed", (0, 1), 0, None, "0.811278"),
+                ("add", (4,), 0, None, "0.352130"),
+                ("protoseed", (2, 3), 1, None, "0.811278"),
+                ("merge", (), 0, (0, 1), "0.211278"),
+            ],
+            [
+                "  1. protoseed {o0, o1} -> category 1 (cohesion 0.811278)",
+                "  2. add o4 -> category 1 (cohesion 0.352130)",
+                "  3. protoseed {o2, o3} -> category 2 (cohesion 0.811278)",
+                "  4. merge categories 1 + 2 -> category 1 (cohesion 0.211278)",
+            ],
+        ),
+        (
+            ["10110", "01100", "01100", "00111", "00010", "00111"],
+            Parameters(0.15, 0.02),
+            [
+                ("protoseed", (1, 2), 0, None, "0.970951"),
+                ("add", (0,), 0, None, "0.323650"),
+                ("add", (4,), 0, None, "0.190317"),
+                ("protoseed", (3, 5), 1, None, "0.970951"),
+                ("merge", (), 0, (0, 1), "0.166313"),
+            ],
+            [
+                "  1. protoseed {o1, o2} -> category 1 (cohesion 0.970951)",
+                "  2. add o0 -> category 1 (cohesion 0.323650)",
+                "  3. add o4 -> category 1 (cohesion 0.190317)",
+                "  4. protoseed {o3, o5} -> category 2 (cohesion 0.970951)",
+                "  5. merge categories 1 + 2 -> category 1 (cohesion 0.166313)",
+            ],
+        ),
+    ]
+
+    @pytest.mark.parametrize("rows, params, steps, lines", CASES)
+    def test_trace_and_report_end_in_the_merge(self, rows, params, steps, lines):
+        corpus = bits_corpus(rows)
+        seen = []
+        result = run(corpus, params, on_action=lambda field, step: seen.append(step))
+        got = [
+            (s.action, s.objects, s.category, s.merged_from, f"{s.cohesion:.6f}")
+            for s in result.trace
+        ]
+        assert got == steps
+        assert tuple(seen) == result.trace
+        assert [c.members for c in result.field.categories] == [tuple(range(len(rows)))]
+        assert result.field.unclustered == ()
+        trace_lines = result.report.split("trace: ", 1)[1].splitlines()
+        assert trace_lines == [f"{len(steps)} accepted actions"] + lines
+
+
 class TestMatrixKernelEqualsObjectOracles:
     """The engine's matrix statistics equal the object-level oracles exactly."""
 
