@@ -15,10 +15,6 @@ if TYPE_CHECKING:
     from .engine import FieldValidity, RunResult, TraceStep
 
 
-class NoRuleFeatures(ValueError):
-    """No feature reaches the requested in-category frequency."""
-
-
 def feature_frequencies(category: Category, corpus: Corpus) -> tuple[float, ...]:
     """In-category frequency of every feature, as fractions of the member count."""
     k = len(category.members)
@@ -30,21 +26,17 @@ def feature_frequencies(category: Category, corpus: Corpus) -> tuple[float, ...]
 
 
 def polymorphous_rule(
-    category: Category,
-    corpus: Corpus,
-    alpha: float = 0.5,
-    *,
-    clustered: Optional[Iterable[int]] = None,
-) -> PolymorphousRule:
-    """Extract the category's at-least-m-of-n rule.
+    category: Category, corpus: Corpus, alpha: float, clustered: Iterable[int]
+) -> Optional[PolymorphousRule]:
+    """Extract the category's at-least-m-of-n rule; None if it has none.
 
     The rule features are those with in-category frequency >= alpha,
     ordered by descending frequency then index; m is the smallest number
-    of them any member possesses. Sufficiency and the false alarm rate
-    are judged against clustered objects only (all objects when
-    clustered is None), since unclustered residue sits outside the
-    field of contrast. With no clustered non-members the false alarm
-    rate is 0.
+    of them any member possesses. With no feature at alpha the category
+    has no rule. Sufficiency and the false alarm rate are judged against
+    the clustered objects only, since unclustered residue sits outside
+    the field of contrast. With no clustered non-members the false
+    alarm rate is 0.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha {alpha} outside (0, 1]")
@@ -54,17 +46,11 @@ def polymorphous_rule(
                key=lambda f: (-freqs[f], f))
     )
     if not feature_set:
-        raise NoRuleFeatures(
-            f"no rule features: alpha {alpha} exceeds every in-category frequency"
-        )
+        return None
     objects = corpus.objects
     m = min(objects[i].count(feature_set) for i in category.members)
     necessary = tuple(f for f in range(len(freqs)) if freqs[f] == 1.0)
-    if clustered is None:
-        universe = set(range(len(corpus)))
-    else:
-        universe = set(clustered)
-    outside = sorted(universe - set(category.members))
+    outside = sorted(set(clustered) - set(category.members))
     present = [f for f in range(len(freqs)) if freqs[f] > 0.0]
     sufficient = tuple(
         f for f in present

@@ -1,13 +1,15 @@
-"""Three-state generate-and-test clustering engine.
+"""Generate-and-test clustering engine: one loop over a fallback chain.
 
-The engine escalates through three hypothesis states. Protoseed hunting
-promotes the strongest-affinity unclustered pair to a new two-member
-category. Object hunting grows existing categories one object at a
-time. Prototype merging collapses two categories into one. A state that
-can produce no acceptable hypothesis is an impasse: object hunting
-falls back to protoseed hunting, protoseed hunting to merging, and a
-merging impasse ends the run. Every accepted hypothesis must leave the
-whole field valid (each cohesion at or above its threshold, each
+Three hunts hypothesize actions. Object hunting grows an existing
+category by one object. Protoseed hunting promotes the
+strongest-affinity unclustered pair to a new two-member category.
+Prototype merging collapses two categories into one. Each hunt returns
+the next field with the step that made it, or None at an impasse. Each
+pass of the loop takes the first of object hunting, protoseed hunting
+and merging that finds an action: object hunting falls back to
+protoseed hunting, protoseed hunting to merging, and a merging impasse
+ends the run. Every accepted hypothesis must leave the whole field
+valid (each cohesion at or above its threshold, each
 cohesion-minus-cross-affinity margin at or above its threshold), so the
 final field always satisfies both thresholds.
 
@@ -19,7 +21,6 @@ produce identical traces, reports, and serialized output.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Callable, Optional, Sequence
@@ -31,13 +32,6 @@ from .model import (
     Corpus,
     Parameters,
 )
-
-
-class Mode(enum.Enum):
-    OBJECT_HUNTING = "object_hunting"
-    PROTOSEED_HUNTING = "protoseed_hunting"
-    PROTOTYPE_MERGING = "prototype_merging"
-    DONE = "done"
 
 
 @dataclass(frozen=True)
@@ -144,15 +138,41 @@ def field_valid(field: ConceptField, corpus: Corpus, params: Parameters) -> Fiel
     return _validity(members, params, affinity_matrix(corpus))
 
 
-def protoseed_hunt(
-    field: ConceptField, aff: AffinityMatrix, params: Parameters
-) -> Optional[Category]:
+Found = Optional[tuple[ConceptField, TraceStep]]
+
+
+def _advance(
+    field: ConceptField,
+    aff: AffinityMatrix,
+    member_sets: Sequence[tuple[int, ...]],
+    index: int,
+    action: str,
+    objects: tuple[int, ...] = (),
+    merged_from: Optional[tuple[int, int]] = None,
+) -> tuple[ConceptField, TraceStep]:
+    """The field whose categories hold member_sets, and the step that made it.
+
+    Only member_sets[index] is a new category; every other set is an
+    existing category, reused as it is. The step's objects leave the
+    unclustered residue.
+    """
+    kept = {c.members: c for c in field.categories}
+    new = _new_category(member_sets[index], aff)
+    categories = tuple(new if k == index else kept[s] for k, s in enumerate(member_sets))
+    gone = set(objects)
+    unclustered = tuple(u for u in field.unclustered if u not in gone)
+    step = TraceStep(action, objects, index, new.cohesion, merged_from)
+    return ConceptField(categories, unclustered), step
+
+
+def protoseed_hunt(field: ConceptField, aff: AffinityMatrix, params: Parameters) -> Found:
     """Promote the best-affinity unclustered pair, if the field stays valid.
 
     Only the single maximum-affinity pair of the corpus's affinity
     matrix aff among the field's unclustered objects (ties:
-    lexicographically smallest id pair) is hypothesized; None signals
-    an impasse.
+    lexicographically smallest id pair) is hypothesized. Returns the
+    field with the pair appended as a new category, and its step; None
+    signals an impasse.
     """
     best_pair: Optional[tuple[int, int]] = None
     best_aff = 0.0
@@ -163,26 +183,22 @@ def protoseed_hunt(
             best_pair = (i, j)
     if best_pair is None:
         return None
-    candidate = _new_category(best_pair, aff)
-    member_sets = [c.members for c in field.categories] + [candidate.members]
-    if _validity(member_sets, params, aff).ok:
-        return candidate
-    return None
+    member_sets = [c.members for c in field.categories] + [best_pair]
+    if not _validity(member_sets, params, aff).ok:
+        return None
+    return _advance(field, aff, member_sets, len(field.categories), "protoseed", best_pair)
 
 
-def object_hunt(
-    field: ConceptField, aff: AffinityMatrix, params: Parameters
-) -> Optional[tuple[int, int]]:
+def object_hunt(field: ConceptField, aff: AffinityMatrix, params: Parameters) -> Found:
     """Best valid (object, category) addition to the field, by post-addition cohesion.
 
     Cohesions come from the corpus's affinity matrix aff. Ties break by
-    lowest object id, then lowest category index. None signals an
-    impasse.
+    lowest object id, then lowest category index. Returns the field
+    with the object added, and its step; None signals an impasse,
+    which a field without categories always is.
     """
-    if not field.categories:
-        raise ValueError("object hunting requires at least one category")
     best_key: Optional[tuple[float, int, int]] = None
-    best: Optional[tuple[int, int]] = None
+    best: Optional[tuple[list[tuple[int, ...]], int, int]] = None
     for idx, cat in enumerate(field.categories):
         for obj in field.unclustered:
             ids = tuple(sorted(cat.members + (obj,)))
@@ -193,20 +209,22 @@ def object_hunt(
             member_sets[idx] = ids
             if _validity(member_sets, params, aff).ok:
                 best_key = key
-                best = (obj, idx)
-    return best
+                best = (member_sets, idx, obj)
+    if best is None:
+        return None
+    member_sets, idx, obj = best
+    return _advance(field, aff, member_sets, idx, "add", (obj,))
 
 
-def merge_hunt(
-    field: ConceptField, aff: AffinityMatrix, params: Parameters
-) -> Optional[tuple[int, int]]:
+def merge_hunt(field: ConceptField, aff: AffinityMatrix, params: Parameters) -> Found:
     """Best valid pair of the field's categories to merge, by merged cohesion.
 
     Cohesions come from the corpus's affinity matrix aff. Ties break by
-    lowest index pair. None signals an impasse.
+    lowest index pair. Returns the field with category j merged into
+    category i, and its step; None signals an impasse.
     """
     best_key: Optional[tuple[float, int, int]] = None
-    best: Optional[tuple[int, int]] = None
+    best: Optional[tuple[list[tuple[int, ...]], int, int]] = None
     for i, j in combinations(range(len(field.categories)), 2):
         merged = tuple(sorted(field.categories[i].members + field.categories[j].members))
         key = (-_mean_within(aff, merged), i, j)
@@ -216,13 +234,11 @@ def merge_hunt(
         member_sets[i] = merged
         if _validity(member_sets, params, aff).ok:
             best_key = key
-            best = (i, j)
-    return best
-
-
-def _remove_unclustered(field: ConceptField, ids: Sequence[int]) -> tuple[int, ...]:
-    gone = set(ids)
-    return tuple(u for u in field.unclustered if u not in gone)
+            best = (member_sets, i, j)
+    if best is None:
+        return None
+    member_sets, i, j = best
+    return _advance(field, aff, member_sets, i, "merge", merged_from=(i, j))
 
 
 def run(
@@ -233,9 +249,10 @@ def run(
 ) -> RunResult:
     """Cluster a corpus to quiescence and describe the resulting field.
 
-    Starts in protoseed hunting over an empty field, follows the
-    escalation order until a merging impasse, then extracts each
-    category's rule and renders the report. Unclustered residue is a
+    Each pass takes the first hunt, in the fallback order object,
+    protoseed, merge, that finds an acceptable action; a pass where all
+    three reach an impasse ends the run. Then each category's rule is
+    extracted and the report rendered. Unclustered residue is a
     legitimate outcome; objects are never force-assigned. The optional
     on_action callback sees the field after every accepted action.
     """
@@ -244,11 +261,12 @@ def run(
     n = len(corpus)
     field = ConceptField.initial(n)
     trace: list[TraceStep] = []
-    mode = Mode.PROTOSEED_HUNTING
-
-    def accepted(new_field: ConceptField, step: TraceStep) -> None:
-        nonlocal field
-        field = new_field
+    while found := (
+        object_hunt(field, aff, params)
+        or protoseed_hunt(field, aff, params)
+        or merge_hunt(field, aff, params)
+    ):
+        field, step = found
         trace.append(step)
         if len(trace) > 2 * n:
             raise AssertionError("engine exceeded its action bound")
@@ -257,70 +275,16 @@ def run(
         if on_action is not None:
             on_action(field, step)
 
-    while mode is not Mode.DONE:
-        if mode is Mode.PROTOSEED_HUNTING:
-            candidate = protoseed_hunt(field, aff, params)
-            if candidate is None:
-                mode = Mode.PROTOTYPE_MERGING
-                continue
-            new_field = ConceptField(
-                field.categories + (candidate,),
-                _remove_unclustered(field, candidate.members),
-            )
-            accepted(
-                new_field,
-                TraceStep(
-                    "protoseed",
-                    candidate.members,
-                    len(new_field.categories) - 1,
-                    candidate.cohesion,
-                ),
-            )
-            mode = Mode.OBJECT_HUNTING
-        elif mode is Mode.OBJECT_HUNTING:
-            found = object_hunt(field, aff, params)
-            if found is None:
-                mode = Mode.PROTOSEED_HUNTING
-                continue
-            obj, idx = found
-            updated = _new_category(field.categories[idx].members + (obj,), aff)
-            categories = list(field.categories)
-            categories[idx] = updated
-            new_field = ConceptField(tuple(categories), _remove_unclustered(field, (obj,)))
-            accepted(new_field, TraceStep("add", (obj,), idx, updated.cohesion))
-        else:  # Mode.PROTOTYPE_MERGING
-            found = merge_hunt(field, aff, params)
-            if found is None:
-                mode = Mode.DONE
-                continue
-            i, j = found
-            merged = _new_category(
-                field.categories[i].members + field.categories[j].members, aff
-            )
-            categories = [c for k, c in enumerate(field.categories) if k != j]
-            categories[i] = merged
-            new_field = ConceptField(tuple(categories), field.unclustered)
-            accepted(
-                new_field,
-                TraceStep("merge", (), i, merged.cohesion, merged_from=(i, j)),
-            )
-            mode = Mode.OBJECT_HUNTING
-
     validity = _validity([c.members for c in field.categories], params, aff)
     if field.categories and not validity.ok:
         raise AssertionError("engine finished with an invalid field")
 
     clustered = field.clustered()
-    described: list[Category] = []
-    for cat in field.categories:
-        try:
-            rule = description.polymorphous_rule(
-                cat, corpus, params.rule_alpha, clustered=clustered
-            )
-        except description.NoRuleFeatures:
-            rule = None
-        described.append(replace(cat, rule=rule))
-    field = ConceptField(tuple(described), field.unclustered)
+    described = tuple(
+        replace(cat, rule=description.polymorphous_rule(cat, corpus, params.rule_alpha, clustered))
+        for cat in field.categories
+    )
+    field = ConceptField(described, field.unclustered)
 
     report = description.render_report(field, corpus, validity, tuple(trace), params)
     return RunResult(

@@ -107,15 +107,19 @@ class FeatureSpace:
 class ObjectInstance:
     """One entity: a dense id, a unique label, and a binary indicator vector.
 
-    bits holds one 0/1 int per feature; the parsers store `bytes`, one
-    byte per feature. Library callers may pass any sequence of 0/1 ints,
-    such as a tuple; every reader indexes, zips or sums the bits, so
-    both give the same results.
+    bits is stored as `bytes`, one 0/1 byte per feature, whatever the
+    caller passes: a row of 0/1 values (ints, bools, `1.0`) is
+    converted on construction, so every count is an int. A row with any
+    other value is kept as given, for ``validate_corpus`` to name.
     """
 
     id: int
     label: str
     bits: Sequence[int]
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.bits, bytes) and _is_binary(self.bits):
+            object.__setattr__(self, "bits", bytes(map(int, self.bits)))
 
     def present(self) -> tuple[int, ...]:
         return tuple(f for f, b in enumerate(self.bits) if b)
@@ -317,9 +321,6 @@ class Category:
             raise ValueError("members must be sorted unique ids")
         if self.best_member not in self.members:
             raise ValueError(f"best_member {self.best_member} outside the member set")
-
-    def __contains__(self, object_id: int) -> bool:
-        return object_id in self.members
 
     @property
     def size(self) -> int:

@@ -8,7 +8,6 @@ import pytest
 
 from conftest import best_member, bits_corpus, make_category, misclassification
 from polyclust.description import (
-    NoRuleFeatures,
     feature_frequencies,
     polymorphous_rule,
     render_report,
@@ -92,7 +91,7 @@ class TestPolymorphousRule:
     def test_identical_members_all_necessary(self):
         corpus = bits_corpus(["1100", "1100"])
         cat = make_category(corpus, (0, 1))
-        rule = polymorphous_rule(cat, corpus, 0.5)
+        rule = polymorphous_rule(cat, corpus, 0.5, clustered=range(len(corpus)))
         assert rule.feature_set == (0, 1)
         assert rule.m == 2
         assert rule.necessary == (0, 1)
@@ -101,7 +100,7 @@ class TestPolymorphousRule:
     def test_pure_polymorphy_without_necessary_features(self):
         corpus = bits_corpus(["110", "101", "011"])
         cat = make_category(corpus, (0, 1, 2))
-        rule = polymorphous_rule(cat, corpus, 0.5)
+        rule = polymorphous_rule(cat, corpus, 0.5, clustered=range(len(corpus)))
         assert rule.feature_set == (0, 1, 2)
         assert rule.m == 2
         assert rule.necessary == ()
@@ -120,21 +119,20 @@ class TestPolymorphousRule:
     def test_feature_set_ordered_by_frequency_then_index(self):
         corpus = bits_corpus(["0111", "0111", "1110"])
         cat = make_category(corpus, (0, 1, 2))
-        rule = polymorphous_rule(cat, corpus, 0.5)
+        rule = polymorphous_rule(cat, corpus, 0.5, clustered=range(len(corpus)))
         # frequencies: f0 1/3 (out), f1 1.0, f2 1.0, f3 2/3
         assert rule.feature_set == (1, 2, 3)
 
-    def test_alpha_too_high_raises(self):
+    def test_alpha_too_high_gives_no_rule(self):
         corpus = bits_corpus(["110", "101", "011"])
         cat = make_category(corpus, (0, 1, 2))
-        with pytest.raises(NoRuleFeatures, match="no rule features"):
-            polymorphous_rule(cat, corpus, 0.9)
+        assert polymorphous_rule(cat, corpus, 0.9, clustered=range(len(corpus))) is None
 
     def test_necessary_subset_of_feature_set(self):
         corpus = bits_corpus(["1101", "1011", "1111", "1001"])
         cat = make_category(corpus, (0, 1, 2, 3))
         for alpha in (0.2, 0.5, 0.75, 1.0):
-            rule = polymorphous_rule(cat, corpus, alpha)
+            rule = polymorphous_rule(cat, corpus, alpha, clustered=range(len(corpus)))
             assert set(rule.necessary) <= set(rule.feature_set)
 
     def test_sufficient_judged_against_clustered_objects_only(self):
@@ -201,7 +199,8 @@ class TestRenderReport:
     def test_necessary_features_listed_for_identical_members(self):
         corpus = bits_corpus(["1100", "1100"])
         cat = make_category(corpus, (0, 1))
-        cat = dataclasses.replace(cat, rule=polymorphous_rule(cat, corpus, 0.5))
+        rule = polymorphous_rule(cat, corpus, 0.5, clustered=range(len(corpus)))
+        cat = dataclasses.replace(cat, rule=rule)
         field = ConceptField((cat,), ())
         params = Parameters()
         text = render_report(field, corpus, field_valid(field, corpus, params), (), params)

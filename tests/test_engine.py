@@ -64,8 +64,11 @@ class TestProtoseedHunt:
         corpus = bits_corpus(["1100", "1100", "0011"])
         got = protoseed_hunt(field_of(corpus), affinity_matrix(corpus), DEFAULTS)
         assert got is not None
-        assert got.members == (0, 1)
-        assert got.cohesion == 1.0
+        field, step = got
+        assert [c.members for c in field.categories] == [(0, 1)]
+        assert field.categories[0].cohesion == 1.0
+        assert field.unclustered == (2,)
+        assert step == engine.TraceStep("protoseed", (0, 1), 0, 1.0)
 
     def test_all_independent_is_impasse(self):
         corpus = bits_corpus(["1100", "1010", "0110"])
@@ -78,7 +81,9 @@ class TestProtoseedHunt:
     def test_tie_breaks_to_smallest_id_pair(self):
         corpus = bits_corpus(["1100", "1100", "1100"])
         got = protoseed_hunt(field_of(corpus), affinity_matrix(corpus), DEFAULTS)
-        assert got is not None and got.members == (0, 1)
+        assert got is not None
+        field, step = got
+        assert field.categories[0].members == (0, 1) and step.objects == (0, 1)
 
     def test_rejected_when_field_would_go_invalid(self):
         # a second copy of an existing category has zero margin
@@ -91,7 +96,14 @@ class TestObjectHunt:
     def test_adds_duplicate_keeping_cohesion(self):
         corpus = bits_corpus(["1100", "1100", "1100"])
         field = field_of(corpus, categories=((0, 1),))
-        assert object_hunt(field, affinity_matrix(corpus), DEFAULTS) == (2, 0)
+        got = object_hunt(field, affinity_matrix(corpus), DEFAULTS)
+        assert got is not None
+        new_field, step = got
+        assert [c.members for c in new_field.categories] == [(0, 1, 2)]
+        assert new_field.categories[0].cohesion == 1.0
+        assert new_field.unclustered == ()
+        assert step.action == "add" and step.objects == (2,) and step.category == 0
+        assert step.cohesion == 1.0 and step.merged_from is None
 
     def test_rejects_addition_that_drops_cohesion(self):
         corpus = bits_corpus(["1100", "1100", "0011"])
@@ -103,10 +115,9 @@ class TestObjectHunt:
         field = field_of(corpus, categories=((0, 1),))
         assert object_hunt(field, affinity_matrix(corpus), DEFAULTS) is None
 
-    def test_requires_a_category(self):
+    def test_no_category_is_impasse(self):
         corpus = bits_corpus(["1100", "1100"])
-        with pytest.raises(ValueError, match="at least one category"):
-            object_hunt(field_of(corpus), affinity_matrix(corpus), DEFAULTS)
+        assert object_hunt(field_of(corpus), affinity_matrix(corpus), DEFAULTS) is None
 
 
 class TestMergeHunt:
@@ -114,7 +125,14 @@ class TestMergeHunt:
         corpus = bits_corpus(["1100", "1100", "1100", "1100"])
         field = field_of(corpus, categories=((0, 1), (2, 3)))
         # the two-copy field is invalid as it stands, but the merge repairs it
-        assert merge_hunt(field, affinity_matrix(corpus), DEFAULTS) == (0, 1)
+        got = merge_hunt(field, affinity_matrix(corpus), DEFAULTS)
+        assert got is not None
+        new_field, step = got
+        assert [c.members for c in new_field.categories] == [(0, 1, 2, 3)]
+        assert new_field.categories[0].cohesion == 1.0
+        assert new_field.unclustered == ()
+        assert step.action == "merge" and step.objects == () and step.category == 0
+        assert step.merged_from == (0, 1) and step.cohesion == 1.0
 
     def test_rejects_merge_below_cohesion_threshold(self):
         corpus = bits_corpus(["1100", "1100", "0011", "0011"])

@@ -6,9 +6,9 @@ seeded random corpora (2-14 objects, 2-10 features, random thresholds
 and alpha) and the two bundled corpora on every point of the committed
 threshold grid, and of the scaled grids that acceptance criteria 2 and 3
 sweep. The digests live in ``tests/data/golden_runs.json``. The random
-corpora are built with tuple rows, as library callers build them; the
-same corpora with ``bytes`` rows, as the parsers store them, must give
-the same digests.
+corpora are built from tuples of 0/1 ints, which ``ObjectInstance``
+converts to ``bytes``; the same corpora built from ``bytes`` rows, which
+it keeps as given (the parsers' path), must give the same digests.
 
 A change that alters any output changes digests and fails this test.
 When such a change is intended (exact decision keys, for instance),

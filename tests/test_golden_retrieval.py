@@ -11,9 +11,10 @@ two bundled corpora. Each corpus has two cases:
 Each case is the ``repr`` of its answers, reduced to the first 16 hex
 digits of its SHA-256, so every float affinity is pinned to the last
 bit. The digests live in ``tests/data/golden_retrieval.json``. The same
-corpora with ``bytes`` rows, as the parsers store them, must give the
-same digests as the tuple rows that library callers build. When a
-change to the answers is intended, regenerate the file with::
+corpora built from ``bytes`` rows, which ``ObjectInstance`` keeps as
+given (the parsers' path), must give the same digests as those built
+from tuples of 0/1 ints, which it converts. When a change to the
+answers is intended, regenerate the file with::
 
     PYTHONPATH=src python tests/test_golden_retrieval.py
 

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from conftest import bits_corpus, make_category, with_rows
+from polyclust import emit_json, run
 from polyclust.model import (
     Category,
     ConceptField,
@@ -218,7 +219,7 @@ class TestValidateCorpusAgreesWithBitWalkOracle:
         objects = (ObjectInstance(0, "a", (True, 0)), ObjectInstance(1, "b", (1, 1.0)))
         corpus = Corpus(space, objects)
         assert validate_corpus(corpus) == _oracle_validate(corpus)
-        assert validate_corpus(corpus)[1] == ["feature 0 constant ('f0' is True in every object)"]
+        assert validate_corpus(corpus)[1] == ["feature 0 constant ('f0' is 1 in every object)"]
 
     def test_first_offender_in_input_order_is_named(self):
         space = FeatureSpace((("f0", "f0"), ("f1", "f1")))
@@ -230,6 +231,39 @@ class TestValidateCorpusAgreesWithBitWalkOracle:
         with pytest.raises(CorpusError) as caught:
             validate_corpus(Corpus(space, objects))
         assert str(caught.value) == "object 'b': bit 1 is [1], expected 0 or 1"
+
+
+class TestObjectRowsAreStoredAsBytes:
+    @pytest.mark.parametrize(
+        "row",
+        [(1, 0, 1), [1, 0, 1], (True, False, True), (1.0, 0.0, 1.0), bytearray((1, 0, 1))],
+    )
+    def test_any_row_of_zeros_and_ones_becomes_bytes(self, row):
+        obj = ObjectInstance(0, "a", row)
+        assert type(obj.bits) is bytes and obj.bits == bytes((1, 0, 1))
+
+    @pytest.mark.parametrize("row", [(2, 0), (1, None), (0, [1]), "10", bytes((2, 0))])
+    def test_row_with_a_bad_bit_is_kept_as_given(self, row):
+        assert ObjectInstance(0, "a", row).bits is row
+
+    def test_float_and_bool_rows_report_as_int_rows(self):
+        # summed as floats, 1.0 bits would print "at least 2.0 out of" and "m": 2.0
+        rows = ["1100", "1100", "1110", "0011", "0011", "0111"]
+        space = FeatureSpace(tuple((f"f{f}", f"f{f}") for f in range(4)))
+        params = Parameters(0.1, 0.05)
+
+        def outputs(bit):
+            objects = tuple(
+                ObjectInstance(i, f"o{i}", tuple(bit(c == "1") for c in row))
+                for i, row in enumerate(rows)
+            )
+            result = run(Corpus(space, objects), params)
+            return result.report, emit_json(result)
+
+        report, record = outputs(int)
+        assert "at least 2 out of" in report and '"m": 2,' in record
+        assert outputs(float) == (report, record)
+        assert outputs(bool) == (report, record)
 
 
 class TestParameters:
