@@ -138,9 +138,6 @@ def field_valid(field: ConceptField, corpus: Corpus, params: Parameters) -> Fiel
     return _validity(members, params, affinity_matrix(corpus))
 
 
-Found = Optional[tuple[ConceptField, TraceStep]]
-
-
 def _advance(
     field: ConceptField,
     aff: AffinityMatrix,
@@ -165,7 +162,9 @@ def _advance(
     return ConceptField(categories, unclustered), step
 
 
-def protoseed_hunt(field: ConceptField, aff: AffinityMatrix, params: Parameters) -> Found:
+def protoseed_hunt(
+    field: ConceptField, aff: AffinityMatrix, params: Parameters
+) -> Optional[tuple[ConceptField, TraceStep]]:
     """Promote the best-affinity unclustered pair, if the field stays valid.
 
     Only the single maximum-affinity pair of the corpus's affinity
@@ -189,7 +188,9 @@ def protoseed_hunt(field: ConceptField, aff: AffinityMatrix, params: Parameters)
     return _advance(field, aff, member_sets, len(field.categories), "protoseed", best_pair)
 
 
-def object_hunt(field: ConceptField, aff: AffinityMatrix, params: Parameters) -> Found:
+def object_hunt(
+    field: ConceptField, aff: AffinityMatrix, params: Parameters
+) -> Optional[tuple[ConceptField, TraceStep]]:
     """Best valid (object, category) addition to the field, by post-addition cohesion.
 
     Cohesions come from the corpus's affinity matrix aff. Ties break by
@@ -216,7 +217,9 @@ def object_hunt(field: ConceptField, aff: AffinityMatrix, params: Parameters) ->
     return _advance(field, aff, member_sets, idx, "add", (obj,))
 
 
-def merge_hunt(field: ConceptField, aff: AffinityMatrix, params: Parameters) -> Found:
+def merge_hunt(
+    field: ConceptField, aff: AffinityMatrix, params: Parameters
+) -> Optional[tuple[ConceptField, TraceStep]]:
     """Best valid pair of the field's categories to merge, by merged cohesion.
 
     Cohesions come from the corpus's affinity matrix aff. Ties break by
