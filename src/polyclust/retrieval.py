@@ -12,15 +12,20 @@ that gives a category rule its m and its false alarms. Seed queries
 read the corpus's feature index (``Corpus.feature_index``), which the
 first seed query builds and the corpus caches: only objects that share
 a feature with the seed are scored, because every other object's
-affinity to it is exactly 0.
+affinity to it is exactly 0. The seed's size is fixed for the query, so
+an object's 2x2 table depends only on its n11 and its own size: each
+query computes one transmission per distinct (n11, size) pair, not one
+per object. The seed's features are read with ``bytes.find``, since a
+validated corpus stores every row as ``bytes``.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, islice
-from typing import Iterable
+from itertools import chain, islice
+from typing import Iterable, Iterator
 
 from . import information
 from .model import Corpus
@@ -57,6 +62,14 @@ def retrieve(corpus: Corpus, query: PolymorphousQuery) -> tuple[int, ...]:
     return tuple(obj_id for _, obj_id in scored)
 
 
+def _ones(row: bytes) -> Iterator[int]:
+    """The positions of the 1 bytes of a row, ascending."""
+    f = row.find(1)
+    while f >= 0:
+        yield f
+        f = row.find(1, f + 1)
+
+
 def retrieve_by_seed(
     corpus: Corpus, seed: int, k: int
 ) -> tuple[tuple[int, float], ...]:
@@ -64,9 +77,11 @@ def retrieve_by_seed(
 
     n11 is counted, through the feature index, for every object that
     shares a feature with the seed; the other three cells of its 2x2
-    table follow from the two feature counts. An object that shares no
-    feature has n11 = 0, so its determinant is -n10*n01 <= 0 and its
-    affinity exactly 0.0: such objects fill the answer last, in id order.
+    table follow from the two feature counts. So the affinity depends
+    only on (n11, the object's size), and one transmission is computed
+    per distinct pair. An object that shares no feature has n11 = 0, so
+    its determinant is -n10*n01 <= 0 and its affinity exactly 0.0: such
+    objects fill the answer last, in id order.
     """
     if not 0 <= seed < len(corpus):
         raise ValueError(f"seed id {seed} outside the corpus")
@@ -74,21 +89,20 @@ def retrieve_by_seed(
         raise ValueError(f"k must be positive, got {k}")
     postings, sizes = corpus.feature_index
     width = len(corpus.space)
-    present = compress(range(width), corpus.objects[seed].bits)
+    present = _ones(corpus.objects[seed].bits)
     shared = Counter(chain.from_iterable(map(postings.__getitem__, present)))
     del shared[seed]
     own = sizes[seed]
-    ranked = []
-    for obj_id, n11 in shared.items():
-        n10 = own - n11
-        n01 = sizes[obj_id] - n11
-        table = information.PairTable(n11, n10, n01, width - n11 - n10 - n01)
-        aff = information.gated_transmission(table)
-        if aff > 0.0:
-            ranked.append((aff, obj_id))
-    ranked.sort(key=lambda t: (-t[0], t[1]))
-    top = [(obj_id, aff) for aff, obj_id in ranked[:k]]
-    scored = {obj_id for _, obj_id in ranked}
-    zeros = (j for j in range(len(corpus)) if j != seed and j not in scored)
-    top.extend((obj_id, 0.0) for obj_id in islice(zeros, k - len(top)))
+    memo = {
+        (n11, b): information.gated_transmission(
+            information.PairTable(n11, own - n11, b - n11, width - own - b + n11)
+        )
+        for n11, b in {(n11, sizes[j]) for j, n11 in shared.items()}
+    }
+    ranked = [(-aff, j) for j, n11 in shared.items() if (aff := memo[n11, sizes[j]]) > 0.0]
+    top = [(j, -neg) for neg, j in heapq.nsmallest(k, ranked)]
+    if len(top) < k:
+        scored = {j for _, j in ranked}
+        zeros = (j for j in range(len(corpus)) if j != seed and j not in scored)
+        top.extend((j, 0.0) for j in islice(zeros, k - len(top)))
     return tuple(top)

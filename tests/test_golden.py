@@ -7,8 +7,8 @@ and alpha) and the two bundled corpora on every point of the committed
 threshold grid, and of the scaled grids that acceptance criteria 2 and 3
 sweep. The digests live in ``tests/data/golden_runs.json``. The random
 corpora are built from tuples of 0/1 ints, which ``ObjectInstance``
-converts to ``bytes``; the same corpora built from ``bytes`` rows, which
-it keeps as given (the parsers' path), must give the same digests.
+converts to ``bytes``, so every corpus the snapshot runs already holds
+the ``bytes`` rows that the parsers store.
 
 A change that alters any output changes digests and fails this test.
 When such a change is intended (exact decision keys, for instance),
@@ -26,7 +26,7 @@ import hashlib
 import json
 import random
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator
 
 from conftest import bits_corpus, with_rows
 from polyclust import datasets, emit_json, run
@@ -35,7 +35,6 @@ from polyclust.model import Corpus, Parameters
 GOLDEN = Path(__file__).parent / "data" / "golden_runs.json"
 GRID = [round(0.05 * k, 2) for k in range(1, 20)]  # 0.05 .. 0.95
 RANDOM_CASES = 400
-Rows = Optional[Callable[[Sequence[int]], Sequence[int]]]  # a row builder, e.g. bytes
 
 
 def random_cases() -> Iterator[tuple[str, Corpus, Parameters]]:
@@ -83,14 +82,9 @@ def digest(corpus: Corpus, params: Parameters) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def snapshot(rows: Rows = None) -> dict[str, str]:
-    """Every case's digest; with ``rows`` (``bytes``, say), each corpus's rows rebuilt by it."""
-    out: dict[str, str] = {}
-    for name, corpus, params in cases():
-        if rows is not None:
-            corpus = with_rows(corpus, rows)
-        out[name] = digest(corpus, params)
-    return out
+def snapshot() -> dict[str, str]:
+    """Every case's digest."""
+    return {name: digest(corpus, params) for name, corpus, params in cases()}
 
 
 def write() -> None:
@@ -108,8 +102,10 @@ def test_every_case_matches_its_golden_digest():
 
 
 def test_bytes_rows_give_the_same_digests():
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert snapshot(bytes) == golden
+    """Every snapshot corpus stores ``bytes`` rows: rebuilt as ``bytes``, it is the same corpus."""
+    for _, corpus, _ in cases():
+        assert all(type(obj.bits) is bytes for obj in corpus.objects)
+        assert with_rows(corpus, bytes) == corpus
 
 
 if __name__ == "__main__":

@@ -10,11 +10,10 @@ two bundled corpora. Each corpus has two cases:
 
 Each case is the ``repr`` of its answers, reduced to the first 16 hex
 digits of its SHA-256, so every float affinity is pinned to the last
-bit. The digests live in ``tests/data/golden_retrieval.json``. The same
-corpora built from ``bytes`` rows, which ``ObjectInstance`` keeps as
-given (the parsers' path), must give the same digests as those built
-from tuples of 0/1 ints, which it converts. When a change to the
-answers is intended, regenerate the file with::
+bit. The digests live in ``tests/data/golden_retrieval.json``. Every
+corpus holds ``bytes`` rows, the rows the parsers store:
+``ObjectInstance`` converts the random corpora's tuples of 0/1 ints.
+When a change to the answers is intended, regenerate the file with::
 
     PYTHONPATH=src python tests/test_golden_retrieval.py
 
@@ -31,7 +30,7 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from conftest import with_rows
-from test_golden import Rows, random_cases
+from test_golden import random_cases
 from polyclust import datasets
 from polyclust.model import Corpus
 from polyclust.retrieval import PolymorphousQuery, retrieve, retrieve_by_seed
@@ -71,13 +70,11 @@ def digest(answers: tuple[Any, ...]) -> str:
     return hashlib.sha256(repr(answers).encode("utf-8")).hexdigest()[:16]
 
 
-def snapshot(rows: Rows = None) -> dict[str, str]:
-    """Every case's digest; with ``rows`` (``bytes``, say), each corpus's rows rebuilt by it."""
+def snapshot() -> dict[str, str]:
+    """Every case's digest."""
     rng = random.Random(20132)
     out: dict[str, str] = {}
     for name, corpus, rules in corpora():
-        if rows is not None:
-            corpus = with_rows(corpus, rows)
         out[f"{name}/seed"] = digest(seed_answers(corpus))
         out[f"{name}/rule"] = digest(rule_answers(corpus, rules, rng))
     return out
@@ -98,8 +95,10 @@ def test_every_retrieval_case_matches_its_golden_digest():
 
 
 def test_bytes_rows_give_the_same_digests():
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert snapshot(bytes) == golden
+    """Every snapshot corpus stores ``bytes`` rows: rebuilt as ``bytes``, it is the same corpus."""
+    for _, corpus, _ in corpora():
+        assert all(type(obj.bits) is bytes for obj in corpus.objects)
+        assert with_rows(corpus, bytes) == corpus
 
 
 if __name__ == "__main__":

@@ -12,8 +12,8 @@ import pytest
 from conftest import bits_corpus, retrieve_by_seed_scan
 from test_description import two_of_three_field
 from test_golden import random_cases
-from polyclust import model, run
-from polyclust.information import object_pair_table
+from polyclust import datasets, information, model, run
+from polyclust.information import PairTable, object_pair_table
 from polyclust.model import Corpus, CorpusError, FeatureSpace, ObjectInstance, validate_corpus
 from polyclust.retrieval import PolymorphousQuery, retrieve, retrieve_by_seed
 
@@ -189,10 +189,10 @@ class TestSeedIndexEqualsScan:
         for corpus in differential_corpora():
             n = len(corpus)
             for seed in range(n):
+                # the scan's top k is the first k of one sort, so one scan serves every k
+                full = retrieve_by_seed_scan(corpus, seed, n)
                 for k in range(1, n + 6):
-                    assert retrieve_by_seed(corpus, seed, k) == retrieve_by_seed_scan(
-                        corpus, seed, k
-                    ), (corpus, seed, k)
+                    assert retrieve_by_seed(corpus, seed, k) == full[:k], (corpus, seed, k)
                 tables = [
                     object_pair_table(corpus.objects[seed], obj)
                     for obj in corpus.objects
@@ -202,10 +202,46 @@ class TestSeedIndexEqualsScan:
                 seen["n11 > 0, determinant <= 0"] += sum(
                     t.n11 > 0 and t.determinant <= 0 for t in tables
                 )
-                positive = [aff for _, aff in retrieve_by_seed_scan(corpus, seed, n) if aff > 0.0]
+                positive = [aff for _, aff in full if aff > 0.0]
                 seen["tied positive affinities"] += len(set(positive)) < len(positive)
                 seen["zero fill after positives"] += 0 < len(positive) < n - 2
         assert min(seen.values()) > 0 and len(seen) == 4, seen
+
+
+class TestOneTransmissionPerDistinctTable:
+    """A seed query computes one transmission per distinct (n11, size of the other object)."""
+
+    def test_calls_equal_the_distinct_pairs_of_the_co_occurring_objects(self, monkeypatch):
+        calls: list[PairTable] = []
+        real = information.gated_transmission
+
+        def counting(table: PairTable) -> float:
+            calls.append(table)
+            return real(table)
+
+        monkeypatch.setattr(information, "gated_transmission", counting)
+        corpora = [
+            datasets.abstracts_corpus(),
+            datasets.abstracts_corpus(with_title_tokens=True),
+            *differential_corpora(),
+        ]
+        seen: Counter[str] = Counter()
+        for corpus in corpora:
+            rows = [obj.bits for obj in corpus.objects]
+            for seed, row in enumerate(rows):
+                shared = {
+                    j: n11
+                    for j, other in enumerate(rows)
+                    if j != seed and (n11 := sum(x & y for x, y in zip(row, other)))
+                }
+                pairs = {(n11, sum(rows[j])) for j, n11 in shared.items()}
+                calls.clear()
+                retrieve_by_seed(corpus, seed, len(corpus))
+                assert len(calls) == len(pairs), (corpus, seed)
+                assert {(t.n11, t.n11 + t.n01) for t in calls} == pairs, (corpus, seed)
+                seen["fewer pairs than objects"] += len(pairs) < len(shared)
+                seen["no co-occurring object"] += not shared
+        assert min(seen.values()) > 0 and len(seen) == 2, seen
 
 
 class TestFeatureIndex:
