@@ -3,18 +3,20 @@
 Three hunts hypothesize actions. Object hunting grows an existing
 category by one object. Protoseed hunting promotes the
 strongest-affinity unclustered pair to a new two-member category.
-Prototype merging collapses two categories into one. Each hunt returns
-the next field with the step that made it, or None at an impasse. Each
-pass of the loop takes the first of object hunting, protoseed hunting
-and merging that finds an action: object hunting falls back to
-protoseed hunting, protoseed hunting to merging, and a merging impasse
-ends the run. Every accepted hypothesis must leave the whole field
-valid (each cohesion at or above its threshold, each
-cohesion-minus-cross-affinity margin at or above its threshold), so the
-final field always satisfies both thresholds.
+Prototype merging collapses two categories into one. Each pass of the
+loop takes the first of object hunting, protoseed hunting and merging
+that finds an action: object hunting falls back to protoseed hunting,
+protoseed hunting to merging, and a merging impasse ends the run.
 
-Selection is greedy and fully deterministic: candidates are ranked by
-the statistic they improve, ties broken by lowest object id and then
+A hunt only generates keyed candidates; one acceptance rule, in
+``_accept``, tests them. It keeps the best-keyed candidate that leaves
+the whole field valid (each cohesion at or above its threshold, each
+cohesion-minus-cross-affinity margin at or above its threshold), so the
+final field always satisfies both thresholds. Each hunt returns the
+next field with the step that made it, or None at an impasse.
+
+Selection is greedy and fully deterministic: keys rank candidates by
+the cohesion they reach, ties broken by lowest object id and then
 lowest category index. Two runs over the same corpus and parameters
 produce identical traces, reports, and serialized output.
 """
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import description, information
 from .model import (
@@ -138,110 +140,101 @@ def field_valid(field: ConceptField, corpus: Corpus, params: Parameters) -> Fiel
     return _validity(members, params, affinity_matrix(corpus))
 
 
-def _advance(
+def _accept(
     field: ConceptField,
     aff: AffinityMatrix,
-    member_sets: Sequence[tuple[int, ...]],
-    index: int,
+    params: Parameters,
     action: str,
-    objects: tuple[int, ...] = (),
-    merged_from: Optional[tuple[int, int]] = None,
-) -> tuple[ConceptField, TraceStep]:
-    """The field whose categories hold member_sets, and the step that made it.
+    candidates: Iterable[tuple[tuple[float, int, int], tuple[int, ...], int, tuple[int, ...]]],
+) -> Optional[tuple[ConceptField, TraceStep]]:
+    """The acceptance rule: apply the best-keyed candidate that leaves the field valid.
 
-    Only member_sets[index] is a new category; every other set is an
-    existing category, reused as it is. The step's objects leave the
-    unclustered residue.
+    A candidate ``(key, members, position, replaced)`` drops the
+    categories at the indices in replaced and puts a new category of
+    members at position. Candidates are scanned in the order given; one
+    whose key does not beat the best valid key so far is skipped, and
+    the rest are tested with ``_validity``. Every other category is
+    reused as it is. None when no candidate is valid.
     """
-    kept = {c.members: c for c in field.categories}
-    new = _new_category(member_sets[index], aff)
-    categories = tuple(new if k == index else kept[s] for k, s in enumerate(member_sets))
-    gone = set(objects)
-    unclustered = tuple(u for u in field.unclustered if u not in gone)
-    step = TraceStep(action, objects, index, new.cohesion, merged_from)
-    return ConceptField(categories, unclustered), step
+    best = None
+    for candidate in candidates:
+        key, members, position, replaced = candidate
+        if best is not None and key >= best[0]:
+            continue
+        member_sets = [c.members for k, c in enumerate(field.categories) if k not in replaced]
+        member_sets.insert(position, members)
+        if _validity(member_sets, params, aff).ok:
+            best = candidate
+    if best is None:
+        return None
+    _, members, position, replaced = best
+    new = _new_category(members, aff)
+    categories = [c for k, c in enumerate(field.categories) if k not in replaced]
+    categories.insert(position, new)
+    objects = tuple(sorted(set(members).intersection(field.unclustered)))
+    unclustered = tuple(u for u in field.unclustered if u not in objects)
+    merged_from = replaced if action == "merge" else None
+    step = TraceStep(action, objects, position, new.cohesion, merged_from)
+    return ConceptField(tuple(categories), unclustered), step
 
 
 def protoseed_hunt(
     field: ConceptField, aff: AffinityMatrix, params: Parameters
 ) -> Optional[tuple[ConceptField, TraceStep]]:
-    """Promote the best-affinity unclustered pair, if the field stays valid.
+    """Promote the best-affinity unclustered pair to a new, last category.
 
-    Only the single maximum-affinity pair of the corpus's affinity
-    matrix aff among the field's unclustered objects (ties:
-    lexicographically smallest id pair) is hypothesized. Returns the
-    field with the pair appended as a new category, and its step; None
-    signals an impasse.
+    The only candidate is the single maximum-affinity pair of the
+    corpus's affinity matrix aff among the field's unclustered objects
+    (ties: lexicographically smallest id pair); a pair of zero affinity
+    is never one. None signals an impasse, also when that pair would
+    leave the field invalid.
     """
-    best_pair: Optional[tuple[int, int]] = None
-    best_aff = 0.0
-    for i, j in combinations(sorted(field.unclustered), 2):
-        a = aff[i][j]
-        if a > 0.0 and (best_pair is None or a > best_aff):
-            best_aff = a
-            best_pair = (i, j)
-    if best_pair is None:
+    pairs = combinations(sorted(field.unclustered), 2)
+    pair = max(pairs, key=lambda p: aff[p[0]][p[1]], default=None)
+    if pair is None or aff[pair[0]][pair[1]] <= 0.0:
         return None
-    member_sets = [c.members for c in field.categories] + [best_pair]
-    if not _validity(member_sets, params, aff).ok:
-        return None
-    return _advance(field, aff, member_sets, len(field.categories), "protoseed", best_pair)
+    i, j = pair
+    candidate = ((-aff[i][j], i, j), pair, len(field.categories), ())
+    return _accept(field, aff, params, "protoseed", [candidate])
 
 
 def object_hunt(
     field: ConceptField, aff: AffinityMatrix, params: Parameters
 ) -> Optional[tuple[ConceptField, TraceStep]]:
-    """Best valid (object, category) addition to the field, by post-addition cohesion.
+    """Add one unclustered object to one category: the best valid addition.
 
-    Cohesions come from the corpus's affinity matrix aff. Ties break by
-    lowest object id, then lowest category index. Returns the field
-    with the object added, and its step; None signals an impasse,
-    which a field without categories always is.
+    Candidates are keyed by post-addition cohesion over the corpus's
+    affinity matrix aff, ties by lowest object id, then lowest category
+    index. None signals an impasse, which a field without categories
+    always is.
     """
-    best_key: Optional[tuple[float, int, int]] = None
-    best: Optional[tuple[list[tuple[int, ...]], int, int]] = None
-    for idx, cat in enumerate(field.categories):
-        for obj in field.unclustered:
-            ids = tuple(sorted(cat.members + (obj,)))
-            key = (-_mean_within(aff, ids), obj, idx)
-            if best_key is not None and key >= best_key:
-                continue
-            member_sets = [c.members for c in field.categories]
-            member_sets[idx] = ids
-            if _validity(member_sets, params, aff).ok:
-                best_key = key
-                best = (member_sets, idx, obj)
-    if best is None:
-        return None
-    member_sets, idx, obj = best
-    return _advance(field, aff, member_sets, idx, "add", (obj,))
+
+    def candidates():
+        for idx, cat in enumerate(field.categories):
+            for obj in field.unclustered:
+                ids = tuple(sorted(cat.members + (obj,)))
+                yield (-_mean_within(aff, ids), obj, idx), ids, idx, (idx,)
+
+    return _accept(field, aff, params, "add", candidates())
 
 
 def merge_hunt(
     field: ConceptField, aff: AffinityMatrix, params: Parameters
 ) -> Optional[tuple[ConceptField, TraceStep]]:
-    """Best valid pair of the field's categories to merge, by merged cohesion.
+    """Merge two of the field's categories: the best valid merge.
 
-    Cohesions come from the corpus's affinity matrix aff. Ties break by
-    lowest index pair. Returns the field with category j merged into
-    category i, and its step; None signals an impasse.
+    Candidates are keyed by merged cohesion over the corpus's affinity
+    matrix aff, ties by lowest index pair (i, j). The merged category
+    takes index i and the later categories shift down. None signals an
+    impasse.
     """
-    best_key: Optional[tuple[float, int, int]] = None
-    best: Optional[tuple[list[tuple[int, ...]], int, int]] = None
-    for i, j in combinations(range(len(field.categories)), 2):
-        merged = tuple(sorted(field.categories[i].members + field.categories[j].members))
-        key = (-_mean_within(aff, merged), i, j)
-        if best_key is not None and key >= best_key:
-            continue
-        member_sets = [c.members for k, c in enumerate(field.categories) if k != j]
-        member_sets[i] = merged
-        if _validity(member_sets, params, aff).ok:
-            best_key = key
-            best = (member_sets, i, j)
-    if best is None:
-        return None
-    member_sets, i, j = best
-    return _advance(field, aff, member_sets, i, "merge", merged_from=(i, j))
+
+    def candidates():
+        for i, j in combinations(range(len(field.categories)), 2):
+            merged = tuple(sorted(field.categories[i].members + field.categories[j].members))
+            yield (-_mean_within(aff, merged), i, j), merged, i, (i, j)
+
+    return _accept(field, aff, params, "merge", candidates())
 
 
 def run(

@@ -3,14 +3,18 @@
 Everything is in bits (log base 2). The association between two objects
 is the mutual information of their 2x2 feature co-occurrence table,
 gated to zero when the table shows negative association: categories are
-held together by co-presence, not by anti-correlation. Cohesion and
-cross affinity, the means of these affinities over a category's pairs,
-are computed once, over the affinity matrix, in ``engine``.
+held together by co-presence, not by anti-correlation. The table is
+built from four counts in one place, ``PairTable.of``: the features both
+objects have (n11), each object's number of features, and the width.
+Cohesion and cross affinity, the means of these affinities over a
+category's pairs, are computed once, over the affinity matrix, in
+``engine``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,6 +31,11 @@ class PairTable:
     n10: int
     n01: int
     n00: int
+
+    @classmethod
+    def of(cls, n11: int, ones_a: int, ones_b: int, width: int) -> PairTable:
+        """The table of two rows of width features, with ones_a and ones_b ones, n11 shared."""
+        return cls(n11, ones_a - n11, ones_b - n11, width - ones_a - ones_b + n11)
 
     @property
     def total(self) -> int:
@@ -57,27 +66,6 @@ def entropy(counts: Sequence[int]) -> Bits:
     return abs(h) if h == 0.0 else h
 
 
-def object_pair_table(a: ObjectInstance, b: ObjectInstance) -> PairTable:
-    """Count feature positions by the (a, b) bit combination they hold."""
-    if len(a.bits) != len(b.bits):
-        raise ValueError(
-            f"length mismatch: {a.label!r} has {len(a.bits)} bits, "
-            f"{b.label!r} has {len(b.bits)}"
-        )
-    n11 = n10 = n01 = n00 = 0
-    for x, y in zip(a.bits, b.bits):
-        if x:
-            if y:
-                n11 += 1
-            else:
-                n10 += 1
-        elif y:
-            n01 += 1
-        else:
-            n00 += 1
-    return PairTable(n11, n10, n01, n00)
-
-
 def transmission(t: PairTable) -> Bits:
     """Mutual information of a 2x2 table in bits, clamped at 0 against rounding."""
     if t.total == 0:
@@ -98,4 +86,10 @@ def gated_transmission(t: PairTable) -> Bits:
 
 def affinity(a: ObjectInstance, b: ObjectInstance) -> Bits:
     """Transmission between two objects, zero unless positively associated."""
-    return gated_transmission(object_pair_table(a, b))
+    if len(a.bits) != len(b.bits):
+        raise ValueError(
+            f"length mismatch: {a.label!r} has {len(a.bits)} bits, "
+            f"{b.label!r} has {len(b.bits)}"
+        )
+    n11 = sum(map(operator.and_, a.bits, b.bits))
+    return gated_transmission(PairTable.of(n11, a.ones, b.ones, len(a.bits)))

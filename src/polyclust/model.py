@@ -10,7 +10,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
 from typing import Iterable, Optional, Sequence
 
 
@@ -122,7 +121,14 @@ class ObjectInstance:
             object.__setattr__(self, "bits", bytes(map(int, self.bits)))
 
     def present(self) -> tuple[int, ...]:
-        return tuple(f for f, b in enumerate(self.bits) if b)
+        """The features the object has, ascending. Reads a valid row: `bytes` of 0/1."""
+        row = self.bits
+        out = []
+        f = row.find(1)
+        while f >= 0:
+            out.append(f)
+            f = row.find(1, f + 1)
+        return tuple(out)
 
     @property
     def ones(self) -> int:
@@ -165,16 +171,15 @@ class Corpus:
 
         ``postings[f]`` holds the ascending ids of the objects that have
         feature f; ``sizes[i]`` is object i's number of present features.
-        Validates the corpus first. One pass over the objects; the bits
-        are scanned by ``itertools.compress`` and the postings hold the
+        Validates the corpus first. One pass over the objects; each row
+        is read by ``ObjectInstance.present`` and the postings hold the
         objects' own id ints.
         """
         self.validate()
-        features = range(len(self.space))
-        postings: list[list[int]] = [[] for _ in features]
+        postings: list[list[int]] = [[] for _ in range(len(self.space))]
         sizes: list[int] = []
         for obj in self.objects:
-            present = list(compress(features, obj.bits))
+            present = obj.present()
             sizes.append(len(present))
             oid = obj.id
             for f in present:

@@ -13,10 +13,11 @@ read the corpus's feature index (``Corpus.feature_index``), which the
 first seed query builds and the corpus caches: only objects that share
 a feature with the seed are scored, because every other object's
 affinity to it is exactly 0. The seed's size is fixed for the query, so
-an object's 2x2 table depends only on its n11 and its own size: each
-query computes one transmission per distinct (n11, size) pair, not one
-per object. The seed's features are read with ``bytes.find``, since a
-validated corpus stores every row as ``bytes``.
+an object's 2x2 table, built from these counts by
+``information.PairTable.of``, depends only on its n11 and its own size:
+each query computes one transmission per distinct (n11, size) pair, not
+one per object. The seed's features are read by
+``ObjectInstance.present``, like every row of the index.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from . import information
 from .model import Corpus
@@ -62,14 +63,6 @@ def retrieve(corpus: Corpus, query: PolymorphousQuery) -> tuple[int, ...]:
     return tuple(obj_id for _, obj_id in scored)
 
 
-def _ones(row: bytes) -> Iterator[int]:
-    """The positions of the 1 bytes of a row, ascending."""
-    f = row.find(1)
-    while f >= 0:
-        yield f
-        f = row.find(1, f + 1)
-
-
 def retrieve_by_seed(
     corpus: Corpus, seed: int, k: int
 ) -> tuple[tuple[int, float], ...]:
@@ -89,14 +82,12 @@ def retrieve_by_seed(
         raise ValueError(f"k must be positive, got {k}")
     postings, sizes = corpus.feature_index
     width = len(corpus.space)
-    present = _ones(corpus.objects[seed].bits)
+    present = corpus.objects[seed].present()
     shared = Counter(chain.from_iterable(map(postings.__getitem__, present)))
     del shared[seed]
     own = sizes[seed]
     memo = {
-        (n11, b): information.gated_transmission(
-            information.PairTable(n11, own - n11, b - n11, width - own - b + n11)
-        )
+        (n11, b): information.gated_transmission(information.PairTable.of(n11, own, b, width))
         for n11, b in {(n11, sizes[j]) for j, n11 in shared.items()}
     }
     ranked = [(-aff, j) for j, n11 in shared.items() if (aff := memo[n11, sizes[j]]) > 0.0]

@@ -1,5 +1,7 @@
 """Shared fixtures, corpus-building helpers and object-level oracles.
 
+``object_pair_table`` fills a pair's 2x2 table bit by bit; the program
+builds the same table from counts, in ``information.PairTable.of``.
 ``cohesion``, ``distinctiveness`` and ``best_member`` compute a
 category's statistics from its objects, one ``information.affinity``
 call per pair. The program computes the same statistics once, over the
@@ -20,7 +22,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import pytest
 
 from polyclust import datasets, information
-from polyclust.information import Bits, affinity
+from polyclust.information import Bits, PairTable, affinity
 from polyclust.model import (
     Category,
     ConceptField,
@@ -52,6 +54,27 @@ def with_rows(corpus: Corpus, rows: Callable[[Sequence[int]], Sequence[int]]) ->
     """The same corpus with each object's bits rebuilt by ``rows``, e.g. ``bytes``."""
     objects = tuple(replace(obj, bits=rows(obj.bits)) for obj in corpus.objects)
     return Corpus(corpus.space, objects)
+
+
+def object_pair_table(a: ObjectInstance, b: ObjectInstance) -> PairTable:
+    """Count feature positions by the (a, b) bit combination they hold, bit by bit."""
+    if len(a.bits) != len(b.bits):
+        raise ValueError(
+            f"length mismatch: {a.label!r} has {len(a.bits)} bits, "
+            f"{b.label!r} has {len(b.bits)}"
+        )
+    n11 = n10 = n01 = n00 = 0
+    for x, y in zip(a.bits, b.bits):
+        if x:
+            if y:
+                n11 += 1
+            else:
+                n10 += 1
+        elif y:
+            n01 += 1
+        else:
+            n00 += 1
+    return PairTable(n11, n10, n01, n00)
 
 
 def cohesion(members: Iterable[ObjectInstance]) -> Bits:

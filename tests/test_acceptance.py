@@ -16,15 +16,17 @@ import time
 from itertools import combinations, product
 from typing import Callable, Iterable, Mapping
 
-from conftest import best_member, bits_corpus, make_category, margin, misclassification
+from conftest import (
+    best_member,
+    bits_corpus,
+    make_category,
+    margin,
+    misclassification,
+    object_pair_table,
+)
 from polyclust import datasets, emit_json, run
 from polyclust.engine import affinity_matrix, field_valid
-from polyclust.information import (
-    PairTable,
-    entropy,
-    object_pair_table,
-    transmission,
-)
+from polyclust.information import PairTable, entropy, transmission
 from polyclust.model import ConceptField, Corpus, Parameters
 from polyclust.retrieval import PolymorphousQuery, retrieve
 

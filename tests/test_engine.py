@@ -91,6 +91,15 @@ class TestProtoseedHunt:
         field = field_of(corpus, categories=((0, 1),))
         assert protoseed_hunt(field, affinity_matrix(corpus), DEFAULTS) is None
 
+    def test_invalid_maximum_pair_is_an_impasse_even_if_a_lower_pair_is_valid(self):
+        # (2, 3) copies the existing category: zero margin; (4, 5) alone would pass
+        corpus = bits_corpus(["110000", "110000", "110000", "110000", "001110", "001100"])
+        aff = affinity_matrix(corpus)
+        assert aff[2][3] > aff[4][5] > 0.0
+        assert not field_valid(field_of(corpus, ((0, 1), (2, 3))), corpus, DEFAULTS).ok
+        assert field_valid(field_of(corpus, ((0, 1), (4, 5))), corpus, DEFAULTS).ok
+        assert protoseed_hunt(field_of(corpus, ((0, 1),)), aff, DEFAULTS) is None
+
 
 class TestObjectHunt:
     def test_adds_duplicate_keeping_cohesion(self):
@@ -119,6 +128,47 @@ class TestObjectHunt:
         corpus = bits_corpus(["1100", "1100"])
         assert object_hunt(field_of(corpus), affinity_matrix(corpus), DEFAULTS) is None
 
+    def test_ties_go_to_the_lowest_object_id_before_the_lowest_category_index(self):
+        # object 5 into category 0 ties object 4 into category 1, and is scanned first
+        corpus = bits_corpus(["110000", "110000", "000011", "000011", "000111", "111000"])
+        aff = affinity_matrix(corpus)
+        best = _mean_within(aff, (2, 3, 4))
+        assert _mean_within(aff, (0, 1, 5)) == best > _mean_within(aff, (0, 1, 4))
+        got = object_hunt(field_of(corpus, ((0, 1), (2, 3))), aff, DEFAULTS)
+        assert got is not None
+        assert got[1] == engine.TraceStep("add", (4,), 1, best)
+
+    def test_ties_for_one_object_go_to_the_lowest_category_index(self):
+        corpus = bits_corpus(["110000", "110000", "000011", "000011", "100001", "100001"])
+        aff = affinity_matrix(corpus)
+        tied = [(0, 1, 4), (0, 1, 5), (2, 3, 4), (2, 3, 5)]
+        assert len({_mean_within(aff, ids) for ids in tied}) == 1
+        params = Parameters(0.3, 0.2)
+        for ids in tied:
+            cats = (ids, (2, 3)) if ids[0] == 0 else ((0, 1), ids)
+            assert field_valid(field_of(corpus, cats), corpus, params).ok
+        got = object_hunt(field_of(corpus, ((0, 1), (2, 3))), aff, params)
+        assert got is not None
+        new_field, step = got
+        assert step == engine.TraceStep("add", (4,), 0, _mean_within(aff, (0, 1, 4)))
+        assert [c.members for c in new_field.categories] == [(0, 1, 4), (2, 3)]
+        assert new_field.unclustered == (5,)
+
+    def test_invalid_best_addition_yields_to_a_worse_valid_one(self):
+        corpus = bits_corpus(["111011", "111011", "110001", "110001", "110010", "111100"])
+        aff = affinity_matrix(corpus)
+        params = Parameters(0.1, 0.2)
+        # object 4 gives the two best keys, but either addition breaks a margin
+        keys = [_mean_within(aff, ids) for ids in ((2, 3, 4), (0, 1, 4), (2, 3, 5), (0, 1, 5))]
+        assert keys[0] > keys[1] > keys[2] > keys[3]
+        for cats in (((0, 1), (2, 3, 4)), ((0, 1, 4), (2, 3))):
+            assert not field_valid(field_of(corpus, cats), corpus, params).ok
+        got = object_hunt(field_of(corpus, ((0, 1), (2, 3))), aff, params)
+        assert got is not None
+        new_field, step = got
+        assert step == engine.TraceStep("add", (5,), 1, keys[2])
+        assert new_field.unclustered == (4,)
+
 
 class TestMergeHunt:
     def test_merges_identical_categories(self):
@@ -143,6 +193,30 @@ class TestMergeHunt:
         corpus = bits_corpus(["1100", "1100"])
         field = field_of(corpus, categories=((0, 1),))
         assert merge_hunt(field, affinity_matrix(corpus), DEFAULTS) is None
+
+    def test_ties_go_to_the_lowest_index_pair(self):
+        # every merge joins two disjoint pairs: the same cohesion, a third of one pair's
+        corpus = bits_corpus(["110000", "110000", "001100", "001100", "000011", "000011"])
+        aff = affinity_matrix(corpus)
+        merges = [(0, 1, 2, 3), (0, 1, 4, 5), (2, 3, 4, 5)]
+        assert len({_mean_within(aff, ids) for ids in merges}) == 1
+        field = field_of(corpus, ((0, 1), (2, 3), (4, 5)))
+        got = merge_hunt(field, aff, Parameters(0.3, 0.2))
+        assert got is not None
+        new_field, step = got
+        assert [c.members for c in new_field.categories] == [(0, 1, 2, 3), (4, 5)]
+        assert step.merged_from == (0, 1) and step.category == 0
+
+    def test_merged_category_sits_at_i_and_later_categories_shift_down(self):
+        corpus = bits_corpus(["110000", "110000", "001100", "001100", "110000", "110000"])
+        aff = affinity_matrix(corpus)
+        field = field_of(corpus, ((0, 1), (2, 3), (4, 5)))
+        got = merge_hunt(field, aff, DEFAULTS)
+        assert got is not None
+        new_field, step = got
+        assert [c.members for c in new_field.categories] == [(0, 1, 4, 5), (2, 3)]
+        assert new_field.categories[1] is field.categories[1]
+        assert step == engine.TraceStep("merge", (), 0, _mean_within(aff, (0, 1, 4, 5)), (0, 2))
 
 
 class TestRun:

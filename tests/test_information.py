@@ -4,18 +4,13 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from itertools import permutations
 
 import pytest
 
-from conftest import bits_corpus, cohesion, distinctiveness
-from polyclust.information import (
-    PairTable,
-    affinity,
-    entropy,
-    object_pair_table,
-    transmission,
-)
+from conftest import bits_corpus, cohesion, distinctiveness, object_pair_table
+from polyclust.information import PairTable, affinity, entropy, gated_transmission, transmission
 from polyclust.model import ObjectInstance
 
 
@@ -87,6 +82,35 @@ class TestPairTable:
         b = bits_corpus(["110"]).objects[0]
         with pytest.raises(ValueError, match="length mismatch"):
             object_pair_table(a, b)
+
+
+class TestTableFromCounts:
+    """``PairTable.of`` builds from four counts the table the per-bit oracle fills."""
+
+    def test_equals_the_per_bit_oracle(self):
+        rng = random.Random(1989)
+        for _ in range(40):
+            width = rng.randint(1, 24)
+
+            def row(density: float) -> str:
+                return "".join("1" if rng.random() < density else "0" for _ in range(width))
+
+            sparse, dense = row(0.1), row(0.9)
+            rows = [sparse, dense, "0" * width, "1" * width, sparse, row(0.5)]
+            objects = bits_corpus(rows).objects
+            for a in objects:
+                for b in objects:
+                    n11 = len(set(a.present()) & set(b.present()))
+                    table = object_pair_table(a, b)
+                    assert PairTable.of(n11, a.ones, b.ones, width) == table
+                    assert affinity(a, b) == gated_transmission(table)
+
+    def test_affinity_names_a_length_mismatch(self):
+        a = bits_corpus(["1100"], labels=["a"]).objects[0]
+        b = bits_corpus(["110"], labels=["b"]).objects[0]
+        message = "length mismatch: 'a' has 4 bits, 'b' has 3"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            affinity(a, b)
 
 
 class TestTransmission:

@@ -9,11 +9,11 @@ from typing import Iterator
 
 import pytest
 
-from conftest import bits_corpus, retrieve_by_seed_scan
+from conftest import bits_corpus, object_pair_table, retrieve_by_seed_scan
 from test_description import two_of_three_field
 from test_golden import random_cases
 from polyclust import datasets, information, model, run
-from polyclust.information import PairTable, object_pair_table
+from polyclust.information import PairTable
 from polyclust.model import Corpus, CorpusError, FeatureSpace, ObjectInstance, validate_corpus
 from polyclust.retrieval import PolymorphousQuery, retrieve, retrieve_by_seed
 
