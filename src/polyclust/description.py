@@ -7,6 +7,8 @@ it field for field; both use the original input labels throughout.
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .model import Category, ConceptField, Corpus, Parameters, PolymorphousRule
@@ -16,13 +18,14 @@ if TYPE_CHECKING:
 
 
 def feature_frequencies(category: Category, corpus: Corpus) -> tuple[float, ...]:
-    """In-category frequency of every feature, as fractions of the member count."""
+    """In-category frequency of every feature, as fractions of the member count.
+
+    Counts each member's ``present`` features, so only the cells that
+    hold a 1 are read.
+    """
     k = len(category.members)
-    width = len(corpus.space)
-    return tuple(
-        sum(corpus.objects[i].bits[f] for i in category.members) / k
-        for f in range(width)
-    )
+    counts = Counter(chain.from_iterable(corpus.objects[i].present() for i in category.members))
+    return tuple(counts[f] / k for f in range(len(corpus.space)))
 
 
 def polymorphous_rule(
@@ -51,10 +54,9 @@ def polymorphous_rule(
     m = min(objects[i].count(feature_set) for i in category.members)
     necessary = tuple(f for f in range(len(freqs)) if freqs[f] == 1.0)
     outside = sorted(set(clustered) - set(category.members))
-    present = [f for f in range(len(freqs)) if freqs[f] > 0.0]
+    held_outside = set(chain.from_iterable(objects[o].present() for o in outside))
     sufficient = tuple(
-        f for f in present
-        if all(objects[o].bits[f] == 0 for o in outside)
+        f for f in range(len(freqs)) if freqs[f] > 0.0 and f not in held_outside
     )
     alarms = sum(1 for o in outside if objects[o].count(feature_set) >= m)
     rate = alarms / len(outside) if outside else 0.0

@@ -2,10 +2,14 @@
 
 Everything is in bits (log base 2). The association between two objects
 is the mutual information of their 2x2 feature co-occurrence table,
-gated to zero when the table shows negative association: categories are
-held together by co-presence, not by anti-correlation. The table is
-built from four counts in one place, ``PairTable.of``: the features both
-objects have (n11), each object's number of features, and the width.
+gated to zero when the table shows no positive association: categories
+are held together by co-presence, not by anti-correlation. The table
+follows from four counts: the features both objects have (n11), each
+object's number of features (``ObjectInstance.ones``) and the width.
+``gated_transmission`` takes these counts and decides the gate on them,
+as ints, before it builds any table: the determinant n11*n00 - n10*n01
+equals n11*width - ones_a*ones_b. Only a positively associated table is
+built, in one place, ``PairTable.of``, and reaches ``transmission``.
 Cohesion and cross affinity, the means of these affinities over a
 category's pairs, are computed once, over the affinity matrix, in
 ``engine``.
@@ -77,11 +81,16 @@ def transmission(t: PairTable) -> Bits:
     return value if value > 0.0 else 0.0
 
 
-def gated_transmission(t: PairTable) -> Bits:
-    """Transmission of a table, zero unless it shows positive association."""
-    if t.determinant <= 0:
+def gated_transmission(n11: int, ones_a: int, ones_b: int, width: int) -> Bits:
+    """Transmission of the table of these counts, zero unless it shows positive association.
+
+    The table's determinant equals n11*width - ones_a*ones_b, so the gate
+    is exact integer arithmetic on the counts, decided before the table
+    is built.
+    """
+    if n11 * width <= ones_a * ones_b:
         return 0.0
-    return transmission(t)
+    return transmission(PairTable.of(n11, ones_a, ones_b, width))
 
 
 def affinity(a: ObjectInstance, b: ObjectInstance) -> Bits:
@@ -92,4 +101,4 @@ def affinity(a: ObjectInstance, b: ObjectInstance) -> Bits:
             f"{b.label!r} has {len(b.bits)}"
         )
     n11 = sum(map(operator.and_, a.bits, b.bits))
-    return gated_transmission(PairTable.of(n11, a.ones, b.ones, len(a.bits)))
+    return gated_transmission(n11, a.ones, b.ones, len(a.bits))

@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 
@@ -132,7 +133,8 @@ class ObjectInstance:
 
     @property
     def ones(self) -> int:
-        return sum(self.bits)
+        """The object's number of features, counted in C. Reads a valid row: `bytes` of 0/1."""
+        return self.bits.count(1)
 
     def count(self, features: Iterable[int]) -> int:
         """How many of the given features the object has: the one m-of-n count."""
@@ -210,9 +212,12 @@ def validate_corpus(corpus: Corpus) -> tuple[Corpus, list[str]]:
     input order, and what is wrong with it: a non-dense id, a duplicate
     label, a row of the wrong width, or a bit other than 0 or 1.
     Features constant across all objects are flagged in the warning list
-    but never removed. Rows are checked whole with a set test and
-    columns summed lazily; an object's bits are walked one by one only
-    to name its first bad bit, so the check is linear in the cells.
+    but never removed. A row is checked whole, in C: it is valid exactly
+    when it is `bytes` and deleting every 0 and 1 byte leaves nothing.
+    Only a row that fails this check, such as one kept as given by
+    ``ObjectInstance``, is walked bit by bit, to name its first bad bit.
+    Column sums count the features each row has (``present``), so the
+    check is linear in the cells and sums no cell in Python.
     """
     objs = corpus.objects
     if not objs:
@@ -234,8 +239,9 @@ def validate_corpus(corpus: Corpus) -> tuple[Corpus, list[str]]:
             raise CorpusError(
                 f"object {obj.label!r}: expected {width} bits, got {len(obj.bits)}"
             )
-        if not _is_binary(obj.bits):
-            for f, b in enumerate(obj.bits):
+        row = obj.bits
+        if not isinstance(row, bytes) or row.translate(None, b"\x00\x01"):
+            for f, b in enumerate(row):
                 if b not in (0, 1):
                     raise CorpusError(
                         f"object {obj.label!r}: bit {f} is {b!r}, expected 0 or 1"
@@ -244,9 +250,9 @@ def validate_corpus(corpus: Corpus) -> tuple[Corpus, list[str]]:
     n = len(objs)
     if n >= 2:
         first = objs[0].bits
-        column_sums = map(sum, zip(*(obj.bits for obj in objs)))
-        for f, total in enumerate(column_sums):
-            if total == 0 or total == n:
+        column_sums = Counter(chain.from_iterable(obj.present() for obj in objs))
+        for f in range(width):
+            if column_sums[f] in (0, n):
                 label = corpus.space.labels[f]
                 warnings.append(f"feature {f} constant ({label!r} is {first[f]} in every object)")
     return corpus, warnings

@@ -13,11 +13,11 @@ read the corpus's feature index (``Corpus.feature_index``), which the
 first seed query builds and the corpus caches: only objects that share
 a feature with the seed are scored, because every other object's
 affinity to it is exactly 0. The seed's size is fixed for the query, so
-an object's 2x2 table, built from these counts by
-``information.PairTable.of``, depends only on its n11 and its own size:
-each query computes one transmission per distinct (n11, size) pair, not
-one per object. The seed's features are read by
-``ObjectInstance.present``, like every row of the index.
+an object's affinity, which ``information.gated_transmission`` takes
+from these counts, depends only on its n11 and its own size: each query
+gates one table per distinct (n11, size) pair, not one per object. The
+seed's features are read by ``ObjectInstance.present``, like every row
+of the index.
 """
 
 from __future__ import annotations
@@ -71,10 +71,10 @@ def retrieve_by_seed(
     n11 is counted, through the feature index, for every object that
     shares a feature with the seed; the other three cells of its 2x2
     table follow from the two feature counts. So the affinity depends
-    only on (n11, the object's size), and one transmission is computed
-    per distinct pair. An object that shares no feature has n11 = 0, so
-    its determinant is -n10*n01 <= 0 and its affinity exactly 0.0: such
-    objects fill the answer last, in id order.
+    only on (n11, the object's size), and ``gated_transmission`` is
+    called once per distinct pair. An object that shares no feature has
+    n11 = 0, so its determinant is -n10*n01 <= 0 and its affinity
+    exactly 0.0: such objects fill the answer last, in id order.
     """
     if not 0 <= seed < len(corpus):
         raise ValueError(f"seed id {seed} outside the corpus")
@@ -87,7 +87,7 @@ def retrieve_by_seed(
     del shared[seed]
     own = sizes[seed]
     memo = {
-        (n11, b): information.gated_transmission(information.PairTable.of(n11, own, b, width))
+        (n11, b): information.gated_transmission(n11, own, b, width)
         for n11, b in {(n11, sizes[j]) for j, n11 in shared.items()}
     }
     ranked = [(-aff, j) for j, n11 in shared.items() if (aff := memo[n11, sizes[j]]) > 0.0]

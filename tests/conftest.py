@@ -2,6 +2,10 @@
 
 ``object_pair_table`` fills a pair's 2x2 table bit by bit; the program
 builds the same table from counts, in ``information.PairTable.of``.
+``table_gated_transmission`` gates a built table on its determinant;
+the program decides the same gate on the four counts, before any table
+is built, in ``information.gated_transmission``. ``bit_ones`` counts a
+row's ones bit by bit, against ``ObjectInstance.ones``.
 ``cohesion``, ``distinctiveness`` and ``best_member`` compute a
 category's statistics from its objects, one ``information.affinity``
 call per pair. The program computes the same statistics once, over the
@@ -22,7 +26,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import pytest
 
 from polyclust import datasets, information
-from polyclust.information import Bits, PairTable, affinity
+from polyclust.information import Bits, PairTable, affinity, transmission
 from polyclust.model import (
     Category,
     ConceptField,
@@ -75,6 +79,16 @@ def object_pair_table(a: ObjectInstance, b: ObjectInstance) -> PairTable:
         else:
             n00 += 1
     return PairTable(n11, n10, n01, n00)
+
+
+def table_gated_transmission(t: PairTable) -> Bits:
+    """Transmission of a built table, zero unless its determinant is positive."""
+    return transmission(t) if t.determinant > 0 else 0.0
+
+
+def bit_ones(obj: ObjectInstance) -> int:
+    """The object's number of features, one bit at a time."""
+    return sum(1 for b in obj.bits if b == 1)
 
 
 def cohesion(members: Iterable[ObjectInstance]) -> Bits:

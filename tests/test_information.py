@@ -9,7 +9,14 @@ from itertools import permutations
 
 import pytest
 
-from conftest import bits_corpus, cohesion, distinctiveness, object_pair_table
+from conftest import (
+    bits_corpus,
+    cohesion,
+    distinctiveness,
+    object_pair_table,
+    table_gated_transmission,
+)
+from polyclust import information
 from polyclust.information import PairTable, affinity, entropy, gated_transmission, transmission
 from polyclust.model import ObjectInstance
 
@@ -103,7 +110,32 @@ class TestTableFromCounts:
                     n11 = len(set(a.present()) & set(b.present()))
                     table = object_pair_table(a, b)
                     assert PairTable.of(n11, a.ones, b.ones, width) == table
-                    assert affinity(a, b) == gated_transmission(table)
+                    assert affinity(a, b) == gated_transmission(n11, a.ones, b.ones, width)
+                    assert affinity(a, b) == table_gated_transmission(table)
+
+    def test_gate_on_counts_equals_the_table_gate_exhaustively(self, monkeypatch):
+        """Every valid (n11, ones_a, ones_b) of every width 1..8, against the built table."""
+        reached: list[PairTable] = []
+        real = information.transmission
+        monkeypatch.setattr(information, "transmission", lambda t: reached.append(t) or real(t))
+        at_zero = 0
+        for width in range(1, 9):
+            for ones_a in range(width + 1):
+                for ones_b in range(width + 1):
+                    for n11 in range(max(0, ones_a + ones_b - width), min(ones_a, ones_b) + 1):
+                        table = PairTable.of(n11, ones_a, ones_b, width)
+                        reached.clear()
+                        got = gated_transmission(n11, ones_a, ones_b, width)
+                        assert got == table_gated_transmission(table), table
+                        # only a positively associated table reaches transmission
+                        assert reached == ([table] if table.determinant > 0 else []), table
+                        if table.determinant == 0:
+                            at_zero += 1
+                            assert got == 0.0 and math.copysign(1.0, got) == 1.0, table
+        assert at_zero > 0
+        # independent rows: width 4, two ones each, one shared
+        assert PairTable.of(1, 2, 2, 4).determinant == 0
+        assert gated_transmission(1, 2, 2, 4) == 0.0
 
     def test_affinity_names_a_length_mismatch(self):
         a = bits_corpus(["1100"], labels=["a"]).objects[0]

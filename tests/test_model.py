@@ -6,8 +6,9 @@ import random
 
 import pytest
 
-from conftest import bits_corpus, make_category, with_rows
-from polyclust import emit_json, run
+from conftest import bit_ones, bits_corpus, make_category, with_rows
+from polyclust import datasets, emit_json, run
+from polyclust.dataio import one_hot_encode, parse_csv, parse_matrix
 from polyclust.model import (
     Category,
     ConceptField,
@@ -93,6 +94,15 @@ class TestValidateCorpus:
         objects = (ObjectInstance(0, "a", (2,)),)
         with pytest.raises(CorpusError, match="expected 0 or 1"):
             validate_corpus(Corpus(space, objects))
+
+    def test_bytes_row_with_a_bad_byte_is_named(self):
+        space = FeatureSpace((("f0", "f0"), ("f1", "f1"), ("f2", "f2")))
+        for bad in (2, 48, 255):
+            good, bad_row = ObjectInstance(0, "a", b"\x01\x00\x01"), bytes((0, 1, bad))
+            corpus = Corpus(space, (good, ObjectInstance(1, "b", bad_row)))
+            outcome = _validation_outcome(validate_corpus, corpus)
+            assert outcome == ("CorpusError", f"object 'b': bit 2 is {bad}, expected 0 or 1")
+            assert outcome == _validation_outcome(_oracle_validate, corpus)
 
     def test_non_dense_ids(self):
         space = FeatureSpace((("f0", "f0"),))
@@ -264,6 +274,33 @@ class TestObjectRowsAreStoredAsBytes:
         assert "at least 2 out of" in report and '"m": 2,' in record
         assert outputs(float) == (report, record)
         assert outputs(bool) == (report, record)
+
+
+class TestOnesEqualsThePerBitCount:
+    def test_sparse_dense_constant_and_duplicate_rows(self):
+        rng = random.Random("ones")
+        for width in (1, 2, 7, 8, 9, 64, 600):
+
+            def row(density: float) -> str:
+                return "".join("1" if rng.random() < density else "0" for _ in range(width))
+
+            sparse, dense = row(0.05), row(0.95)
+            corpus = bits_corpus([sparse, dense, "0" * width, "1" * width, sparse, row(0.5)])
+            for obj in corpus.objects:
+                assert obj.ones == bit_ones(obj) == len(obj.present()), obj
+            assert corpus.objects[2].ones == 0 and corpus.objects[3].ones == width
+
+    def test_parsed_and_encoded_rows(self):
+        corpora = [
+            parse_matrix("a,1,0,1\nb,0,1,1\nc,0,0,0\nd,1,1,1\ne,1,0,1\n"),
+            one_hot_encode(parse_csv("shape,color\ncircular,black\n,white\nsquare,black\n")),
+            datasets.shapes_corpus(),
+            datasets.abstracts_corpus(),
+            datasets.abstracts_corpus(with_title_tokens=True),
+        ]
+        for corpus in corpora:
+            for obj in corpus.objects:
+                assert obj.ones == bit_ones(obj), obj
 
 
 class TestParameters:

@@ -13,7 +13,6 @@ from conftest import bits_corpus, object_pair_table, retrieve_by_seed_scan
 from test_description import two_of_three_field
 from test_golden import random_cases
 from polyclust import datasets, information, model, run
-from polyclust.information import PairTable
 from polyclust.model import Corpus, CorpusError, FeatureSpace, ObjectInstance, validate_corpus
 from polyclust.retrieval import PolymorphousQuery, retrieve, retrieve_by_seed
 
@@ -209,15 +208,15 @@ class TestSeedIndexEqualsScan:
 
 
 class TestOneTransmissionPerDistinctTable:
-    """A seed query computes one transmission per distinct (n11, size of the other object)."""
+    """A seed query gates one table per distinct (n11, size of the other object)."""
 
     def test_calls_equal_the_distinct_pairs_of_the_co_occurring_objects(self, monkeypatch):
-        calls: list[PairTable] = []
+        calls: list[tuple[int, int, int, int]] = []
         real = information.gated_transmission
 
-        def counting(table: PairTable) -> float:
-            calls.append(table)
-            return real(table)
+        def counting(n11: int, ones_a: int, ones_b: int, width: int) -> float:
+            calls.append((n11, ones_a, ones_b, width))
+            return real(n11, ones_a, ones_b, width)
 
         monkeypatch.setattr(information, "gated_transmission", counting)
         corpora = [
@@ -238,7 +237,8 @@ class TestOneTransmissionPerDistinctTable:
                 calls.clear()
                 retrieve_by_seed(corpus, seed, len(corpus))
                 assert len(calls) == len(pairs), (corpus, seed)
-                assert {(t.n11, t.n11 + t.n01) for t in calls} == pairs, (corpus, seed)
+                assert {(n11, b) for n11, _, b, _ in calls} == pairs, (corpus, seed)
+                assert all(a == sum(row) and w == len(row) for _, a, _, w in calls), seed
                 seen["fewer pairs than objects"] += len(pairs) < len(shared)
                 seen["no co-occurring object"] += not shared
         assert min(seen.values()) > 0 and len(seen) == 2, seen
