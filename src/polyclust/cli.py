@@ -216,7 +216,7 @@ def info(path: str, fmt: Optional[str]) -> None:
     click.echo(f"objects: {len(corpus)}  features: {width}")
     click.echo("entropy (bits) per object:")
     for obj in corpus.objects:
-        h = information.entropy([obj.ones, width - obj.ones])
+        h = information.row_entropy(obj.ones, width)
         click.echo(f"  {obj.label}\t{h:.6f}\t({obj.ones} of {width} features)")
     click.echo("affinity (bits):")
     matrix = engine.affinity_matrix(corpus)

@@ -6,10 +6,11 @@ gated to zero when the table shows no positive association: categories
 are held together by co-presence, not by anti-correlation. The table
 follows from four counts: the features both objects have (n11), each
 object's number of features (``ObjectInstance.ones``) and the width.
-``gated_transmission`` takes these counts and decides the gate on them,
-as ints, before it builds any table: the determinant n11*n00 - n10*n01
-equals n11*width - ones_a*ones_b. Only a positively associated table is
-built, in one place, ``PairTable.of``, and reaches ``transmission``.
+``gated_transmission`` is the one kernel: it decides the gate on these
+counts, as ints (the determinant n11*n00 - n10*n01 equals n11*width -
+ones_a*ones_b), and computes the row, column and cell entropies
+straight from them; no table is built. ``row_entropy`` is the entropy
+of one row from its two counts, and ``info`` prints it per object.
 Cohesion and cross affinity, the means of these affinities over a
 category's pairs, are computed once, over the affinity matrix, in
 ``engine``.
@@ -19,78 +20,36 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from typing import Sequence
 
 from .model import ObjectInstance
 
 Bits = float
 
 
-@dataclass(frozen=True)
-class PairTable:
-    """2x2 co-occurrence counts between two equal-length bit vectors."""
-
-    n11: int
-    n10: int
-    n01: int
-    n00: int
-
-    @classmethod
-    def of(cls, n11: int, ones_a: int, ones_b: int, width: int) -> PairTable:
-        """The table of two rows of width features, with ones_a and ones_b ones, n11 shared."""
-        return cls(n11, ones_a - n11, ones_b - n11, width - ones_a - ones_b + n11)
-
-    @property
-    def total(self) -> int:
-        return self.n11 + self.n10 + self.n01 + self.n00
-
-    def cells(self) -> tuple[int, int, int, int]:
-        return (self.n11, self.n10, self.n01, self.n00)
-
-    @property
-    def determinant(self) -> int:
-        return self.n11 * self.n00 - self.n10 * self.n01
-
-
-def entropy(counts: Sequence[int]) -> Bits:
-    """Shannon entropy of a count distribution, with 0 log 0 taken as 0."""
-    total = 0
-    for c in counts:
-        if c < 0:
-            raise ValueError(f"negative count {c}")
-        total += c
-    if total == 0:
-        raise ValueError("empty distribution")
-    h = 0.0
-    for c in counts:
-        if c:
-            p = c / total
-            h -= p * math.log2(p)
-    return abs(h) if h == 0.0 else h
-
-
-def transmission(t: PairTable) -> Bits:
-    """Mutual information of a 2x2 table in bits, clamped at 0 against rounding."""
-    if t.total == 0:
-        raise ValueError("empty table")
-    rows = (t.n11 + t.n10, t.n01 + t.n00)
-    cols = (t.n11 + t.n01, t.n10 + t.n00)
-    # cells are summed in sorted order so transposed tables round identically
-    value = entropy(rows) + entropy(cols) - entropy(sorted(t.cells()))
-    return value if value > 0.0 else 0.0
+def row_entropy(ones: int, width: int) -> Bits:
+    """Entropy of a row with ones of its width features set, 0 log 0 taken as 0."""
+    p = ones / width
+    q = (width - ones) / width
+    h = 0.0 - (p * math.log2(p) if ones else 0.0)
+    return h - (q * math.log2(q) if ones < width else 0.0)
 
 
 def gated_transmission(n11: int, ones_a: int, ones_b: int, width: int) -> Bits:
-    """Transmission of the table of these counts, zero unless it shows positive association.
+    """Mutual information of the table of these counts, zero unless positively associated.
 
-    The table's determinant equals n11*width - ones_a*ones_b, so the gate
-    is exact integer arithmetic on the counts, decided before the table
-    is built.
+    The gate is exact integer arithmetic on the counts. The cell entropy
+    sums its terms in ascending count order, so transposed tables round
+    identically. The result is clamped at 0 against rounding.
     """
     if n11 * width <= ones_a * ones_b:
         return 0.0
-    return transmission(PairTable.of(n11, ones_a, ones_b, width))
+    h = 0.0
+    for c in sorted((n11, ones_a - n11, ones_b - n11, width - ones_a - ones_b + n11)):
+        if c:
+            p = c / width
+            h -= p * math.log2(p)
+    value = row_entropy(ones_a, width) + row_entropy(ones_b, width) - h
+    return value if value > 0.0 else 0.0
 
 
 def affinity(a: ObjectInstance, b: ObjectInstance) -> Bits:

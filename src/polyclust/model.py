@@ -83,24 +83,26 @@ class FeatureSpace:
         return table
 
     @cached_property
-    def _resolution_folded(self) -> dict[str, Optional[int]]:
-        folded: dict[str, Optional[int]] = {}
+    def _resolution_folded(self) -> dict[str, list[int]]:
+        folded: dict[str, list[int]] = {}
         for key, idx in self._resolution.items():
-            low = key.lower()
-            if low in folded and folded[low] != idx:
-                folded[low] = None  # ambiguous under case folding
-            else:
-                folded[low] = idx
+            hits = folded.setdefault(key.lower(), [])
+            if idx not in hits:
+                hits.append(idx)
         return folded
 
     def index_of(self, label: str) -> int:
-        """Resolve a display label, an attribute=value form, or a unique bare name."""
+        """Resolve a display label, an attribute=value form, or a name unique up to case."""
         hit = self._resolution.get(label)
-        if hit is None:
-            hit = self._resolution_folded.get(label.lower())
-        if hit is None:
+        if hit is not None:
+            return hit
+        hits = self._resolution_folded.get(label.lower(), [])
+        if len(hits) > 1:
+            matches = ", ".join(repr(self.labels[i]) for i in hits)
+            raise CorpusError(f"ambiguous feature label {label!r}: matches {matches}")
+        if not hits:
             raise CorpusError(f"unknown feature label {label!r}")
-        return hit
+        return hits[0]
 
 
 @dataclass(frozen=True)

@@ -14,16 +14,16 @@ first seed query builds and the corpus caches: only objects that share
 a feature with the seed are scored, because every other object's
 affinity to it is exactly 0. The seed's size is fixed for the query, so
 an object's affinity, which ``information.gated_transmission`` takes
-from these counts, depends only on its n11 and its own size: each query
-gates one table per distinct (n11, size) pair, not one per object. The
-seed's features are read by ``ObjectInstance.present``, like every row
-of the index.
+from these counts, depends only on its n11 and its own size. So each
+query puts the objects into one bucket per distinct (n11, size) table,
+scores each bucket once, and fills its answer bucket by bucket; it
+ranks tables, not objects. The seed's features are read by
+``ObjectInstance.present``, like every row of the index.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Iterable
@@ -71,10 +71,13 @@ def retrieve_by_seed(
     n11 is counted, through the feature index, for every object that
     shares a feature with the seed; the other three cells of its 2x2
     table follow from the two feature counts. So the affinity depends
-    only on (n11, the object's size), and ``gated_transmission`` is
-    called once per distinct pair. An object that shares no feature has
-    n11 = 0, so its determinant is -n10*n01 <= 0 and its affinity
-    exactly 0.0: such objects fill the answer last, in id order.
+    only on (n11, the object's size): the objects are put into one
+    bucket per distinct pair, and ``gated_transmission`` is called once
+    per bucket. The answer is filled from the buckets in descending
+    affinity; buckets of equal affinity are merged and their ids taken
+    in ascending order. An object that shares no feature has n11 = 0,
+    so its determinant is -n10*n01 <= 0 and its affinity exactly 0.0:
+    such objects fill the answer last, in id order.
     """
     if not 0 <= seed < len(corpus):
         raise ValueError(f"seed id {seed} outside the corpus")
@@ -86,14 +89,20 @@ def retrieve_by_seed(
     shared = Counter(chain.from_iterable(map(postings.__getitem__, present)))
     del shared[seed]
     own = sizes[seed]
-    memo = {
-        (n11, b): information.gated_transmission(n11, own, b, width)
-        for n11, b in {(n11, sizes[j]) for j, n11 in shared.items()}
-    }
-    ranked = [(-aff, j) for j, n11 in shared.items() if (aff := memo[n11, sizes[j]]) > 0.0]
-    top = [(j, -neg) for neg, j in heapq.nsmallest(k, ranked)]
-    if len(top) < k:
-        scored = {j for _, j in ranked}
-        zeros = (j for j in range(len(corpus)) if j != seed and j not in scored)
-        top.extend((j, 0.0) for j in islice(zeros, k - len(top)))
+    buckets: defaultdict[tuple[int, int], list[int]] = defaultdict(list)
+    for j, n11 in shared.items():
+        buckets[n11, sizes[j]].append(j)
+    by_affinity: defaultdict[float, list[int]] = defaultdict(list)
+    for (n11, b), ids in buckets.items():
+        aff = information.gated_transmission(n11, own, b, width)
+        if aff > 0.0:
+            by_affinity[aff].extend(ids)
+    top: list[tuple[int, float]] = []
+    for aff in sorted(by_affinity, reverse=True):
+        top.extend((j, aff) for j in sorted(by_affinity[aff])[: k - len(top)])
+        if len(top) == k:
+            return tuple(top)
+    taken = {j for j, _ in top}
+    zeros = (j for j in range(len(corpus)) if j != seed and j not in taken)
+    top.extend((j, 0.0) for j in islice(zeros, k - len(top)))
     return tuple(top)

@@ -1,11 +1,14 @@
 """Shared fixtures, corpus-building helpers and object-level oracles.
 
-``object_pair_table`` fills a pair's 2x2 table bit by bit; the program
-builds the same table from counts, in ``information.PairTable.of``.
+``PairTable``, ``entropy`` and ``transmission`` are the table-level
+reference: a built 2x2 table and its mutual information from three
+generic entropy loops. ``object_pair_table`` fills a pair's table bit by
+bit, and ``PairTable.of`` builds the same table from four counts.
 ``table_gated_transmission`` gates a built table on its determinant;
-the program decides the same gate on the four counts, before any table
-is built, in ``information.gated_transmission``. ``bit_ones`` counts a
-row's ones bit by bit, against ``ObjectInstance.ones``.
+the program decides the same gate on the four counts and computes the
+entropies straight from them, with no table, in
+``information.gated_transmission``. ``bit_ones`` counts a row's ones
+bit by bit, against ``ObjectInstance.ones``.
 ``cohesion``, ``distinctiveness`` and ``best_member`` compute a
 category's statistics from its objects, one ``information.affinity``
 call per pair. The program computes the same statistics once, over the
@@ -20,13 +23,14 @@ rule extraction and retrieval use.
 
 from __future__ import annotations
 
-from dataclasses import replace
+import math
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional, Sequence
 
 import pytest
 
 from polyclust import datasets, information
-from polyclust.information import Bits, PairTable, affinity, transmission
+from polyclust.information import Bits, affinity
 from polyclust.model import (
     Category,
     ConceptField,
@@ -58,6 +62,60 @@ def with_rows(corpus: Corpus, rows: Callable[[Sequence[int]], Sequence[int]]) ->
     """The same corpus with each object's bits rebuilt by ``rows``, e.g. ``bytes``."""
     objects = tuple(replace(obj, bits=rows(obj.bits)) for obj in corpus.objects)
     return Corpus(corpus.space, objects)
+
+
+@dataclass(frozen=True)
+class PairTable:
+    """2x2 co-occurrence counts between two equal-length bit vectors."""
+
+    n11: int
+    n10: int
+    n01: int
+    n00: int
+
+    @classmethod
+    def of(cls, n11: int, ones_a: int, ones_b: int, width: int) -> PairTable:
+        """The table of two rows of width features, with ones_a and ones_b ones, n11 shared."""
+        return cls(n11, ones_a - n11, ones_b - n11, width - ones_a - ones_b + n11)
+
+    @property
+    def total(self) -> int:
+        return self.n11 + self.n10 + self.n01 + self.n00
+
+    def cells(self) -> tuple[int, int, int, int]:
+        return (self.n11, self.n10, self.n01, self.n00)
+
+    @property
+    def determinant(self) -> int:
+        return self.n11 * self.n00 - self.n10 * self.n01
+
+
+def entropy(counts: Sequence[int]) -> Bits:
+    """Shannon entropy of a count distribution, with 0 log 0 taken as 0."""
+    total = 0
+    for c in counts:
+        if c < 0:
+            raise ValueError(f"negative count {c}")
+        total += c
+    if total == 0:
+        raise ValueError("empty distribution")
+    h = 0.0
+    for c in counts:
+        if c:
+            p = c / total
+            h -= p * math.log2(p)
+    return abs(h) if h == 0.0 else h
+
+
+def transmission(t: PairTable) -> Bits:
+    """Mutual information of a 2x2 table in bits, clamped at 0 against rounding."""
+    if t.total == 0:
+        raise ValueError("empty table")
+    rows = (t.n11 + t.n10, t.n01 + t.n00)
+    cols = (t.n11 + t.n01, t.n10 + t.n00)
+    # cells are summed in sorted order so transposed tables round identically
+    value = entropy(rows) + entropy(cols) - entropy(sorted(t.cells()))
+    return value if value > 0.0 else 0.0
 
 
 def object_pair_table(a: ObjectInstance, b: ObjectInstance) -> PairTable:

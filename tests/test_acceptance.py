@@ -17,16 +17,19 @@ from itertools import combinations, product
 from typing import Callable, Iterable, Mapping
 
 from conftest import (
+    PairTable,
     best_member,
     bits_corpus,
+    entropy,
     make_category,
     margin,
     misclassification,
     object_pair_table,
+    transmission,
 )
 from polyclust import datasets, emit_json, run
 from polyclust.engine import affinity_matrix, field_valid
-from polyclust.information import PairTable, entropy, transmission
+from polyclust.information import gated_transmission, row_entropy
 from polyclust.model import ConceptField, Corpus, Parameters
 from polyclust.retrieval import PolymorphousQuery, retrieve
 
@@ -120,6 +123,10 @@ def test_criterion_1_metric_oracle_equivalence():
             a, b = corpus.objects
             table = object_pair_table(a, b)
             assert abs(transmission(table) - _oracle_transmission(table)) <= 1e-9
+            gated = _oracle_transmission(table) if table.determinant > 0 else 0.0
+            assert abs(gated_transmission(table.n11, a.ones, b.ones, width) - gated) <= 1e-9
+            row = _oracle_entropy([a.ones, width - a.ones])
+            assert abs(row_entropy(a.ones, width) - row) <= 1e-9
             counts = [rng.randint(0, 12) for _ in range(rng.randint(1, 6))]
             if sum(counts) == 0:
                 counts[0] = 1

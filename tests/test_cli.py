@@ -181,6 +181,13 @@ class TestQuery:
         assert result.exit_code == 2
         assert "zebra" in result.output
 
+    def test_label_ambiguous_under_case_folding_exits_2_and_names_both(self, runner, tmp_path):
+        path = tmp_path / "topics.csv"
+        path.write_text("label,topic\nd0,Visual\nd1,VISUAL\nd2,audio\n", encoding="utf-8")
+        result = runner.invoke(main, ["query", "--input", str(path), "--rule", "1:visual"])
+        assert result.exit_code == 2
+        assert "ambiguous feature label 'visual': matches 'Visual', 'VISUAL'" in result.output
+
     def test_unknown_seed_exits_2(self, runner, toy_file):
         result = runner.invoke(
             main, ["query", "--input", toy_file, "--seed", "d99"]

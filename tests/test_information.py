@@ -5,19 +5,22 @@ from __future__ import annotations
 import math
 import random
 import re
+from collections import Counter
 from itertools import permutations
 
 import pytest
 
 from conftest import (
+    PairTable,
     bits_corpus,
     cohesion,
     distinctiveness,
+    entropy,
     object_pair_table,
     table_gated_transmission,
+    transmission,
 )
-from polyclust import information
-from polyclust.information import PairTable, affinity, entropy, gated_transmission, transmission
+from polyclust.information import affinity, gated_transmission, row_entropy
 from polyclust.model import ObjectInstance
 
 
@@ -70,6 +73,12 @@ class TestEntropy:
             h = entropy(counts)
             assert -1e-12 <= h <= math.log2(k) + 1e-12
 
+    def test_row_entropy_equals_the_two_count_entropy(self):
+        for width in range(1, 301):
+            for ones in range(width + 1):
+                got, want = row_entropy(ones, width), entropy([ones, width - ones])
+                assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
 
 class TestPairTable:
     def test_identical(self):
@@ -113,26 +122,31 @@ class TestTableFromCounts:
                     assert affinity(a, b) == gated_transmission(n11, a.ones, b.ones, width)
                     assert affinity(a, b) == table_gated_transmission(table)
 
-    def test_gate_on_counts_equals_the_table_gate_exhaustively(self, monkeypatch):
-        """Every valid (n11, ones_a, ones_b) of every width 1..8, against the built table."""
-        reached: list[PairTable] = []
-        real = information.transmission
-        monkeypatch.setattr(information, "transmission", lambda t: reached.append(t) or real(t))
-        at_zero = 0
-        for width in range(1, 9):
+    def test_gate_on_counts_equals_the_table_gate_exhaustively(self):
+        """Every table of width 1..40 and seeded tables up to width 2000, bit for bit."""
+
+        def check(n11: int, ones_a: int, ones_b: int, width: int) -> int:
+            table = PairTable.of(n11, ones_a, ones_b, width)
+            got = gated_transmission(n11, ones_a, ones_b, width)
+            want = table_gated_transmission(table)
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), table
+            if table.determinant == 0:
+                assert got == 0.0 and math.copysign(1.0, got) == 1.0, table
+            return (table.determinant > 0) - (table.determinant < 0)
+
+        signs: Counter[int] = Counter()
+        for width in range(1, 41):
             for ones_a in range(width + 1):
                 for ones_b in range(width + 1):
                     for n11 in range(max(0, ones_a + ones_b - width), min(ones_a, ones_b) + 1):
-                        table = PairTable.of(n11, ones_a, ones_b, width)
-                        reached.clear()
-                        got = gated_transmission(n11, ones_a, ones_b, width)
-                        assert got == table_gated_transmission(table), table
-                        # only a positively associated table reaches transmission
-                        assert reached == ([table] if table.determinant > 0 else []), table
-                        if table.determinant == 0:
-                            at_zero += 1
-                            assert got == 0.0 and math.copysign(1.0, got) == 1.0, table
-        assert at_zero > 0
+                        signs[check(n11, ones_a, ones_b, width)] += 1
+        rng = random.Random(1208)
+        for _ in range(100_000):
+            width = rng.randint(1, 2000)
+            ones_a, ones_b = rng.randint(0, width), rng.randint(0, width)
+            n11 = rng.randint(max(0, ones_a + ones_b - width), min(ones_a, ones_b))
+            signs[check(n11, ones_a, ones_b, width)] += 1
+        assert set(signs) == {-1, 0, 1}, signs
         # independent rows: width 4, two ones each, one shared
         assert PairTable.of(1, 2, 2, 4).determinant == 0
         assert gated_transmission(1, 2, 2, 4) == 0.0

@@ -53,6 +53,14 @@ class TestFeatureSpace:
         assert space.index_of("a") == 0
         assert space.index_of("b") == 1
 
+    def test_index_of_names_both_matches_of_an_ambiguous_label(self):
+        space = FeatureSpace((("Visual", "Visual"), ("VISUAL", "VISUAL"), ("x", "x")))
+        assert space.index_of("VISUAL") == 1
+        assert space.index_of("X") == 2
+        message = "ambiguous feature label 'visual': matches 'Visual', 'VISUAL'"
+        with pytest.raises(CorpusError, match=message):
+            space.index_of("visual")
+
     def test_index_of_unknown_label(self):
         space = FeatureSpace((("shape", "circular"),))
         with pytest.raises(CorpusError, match="nope"):

@@ -145,6 +145,15 @@ class TestRetrieveBySeed:
         assert [obj_id for obj_id, _ in got] == [1, 2, 3]
         assert all(aff == 0.0 for _, aff in got)
 
+    def test_equal_affinity_from_two_tables_ranks_by_id(self):
+        """Objects 1 (n11 1, size 1) and 2 (n11 2, size 3) tie; the index meets 2 first."""
+        corpus = bits_corpus(["1100", "0100", "1110", "0001"])
+        assert corpus.feature_index[0][0] == (0, 2)
+        tie = 0.31127812445913294
+        assert retrieve_by_seed(corpus, 0, 2) == ((1, tie), (2, tie))
+        for k in range(1, len(corpus) + 1):
+            assert retrieve_by_seed(corpus, 0, k) == retrieve_by_seed_scan(corpus, 0, k), k
+
     def test_abstract_6_tops_seed_abstract_4(self, abstracts_corpus):
         seed = abstracts_corpus.object_by_label("abstract 4").id
         got = retrieve_by_seed(abstracts_corpus, seed, 3)
