@@ -82,6 +82,11 @@ _format_option = click.option(
     default=None,
     help="Input format; inferred from the file suffix when omitted.",
 )
+_title_tokens_option = click.option(
+    "--with-title-tokens",
+    is_flag=True,
+    help="Refer input: also index lower-cased title words not covered by keywords.",
+)
 _input_option = click.option(
     "--input",
     "path",
@@ -118,10 +123,7 @@ def main() -> None:
     show_default=True,
 )
 @click.option("--trace", is_flag=True, help="Echo each accepted engine action to stderr.")
-@click.option(
-    "--with-title-tokens", is_flag=True,
-    help="Refer input: also index lower-cased title words not covered by keywords.",
-)
+@_title_tokens_option
 def cluster(
     path: str,
     fmt: Optional[str],
@@ -163,10 +165,7 @@ def cluster(
 )
 @click.option("--seed", "seed_label", default=None, help="Seed object label.")
 @click.option("--top", default=5, show_default=True, help="Result count for --seed.")
-@click.option(
-    "--with-title-tokens", is_flag=True,
-    help="Refer input: also index lower-cased title words not covered by keywords.",
-)
+@_title_tokens_option
 def query(
     path: str,
     fmt: Optional[str],

@@ -13,7 +13,9 @@ A hunt only generates keyed candidates; one acceptance rule, in
 the whole field valid (each cohesion at or above its threshold, each
 cohesion-minus-cross-affinity margin at or above its threshold), so the
 final field always satisfies both thresholds. Each hunt returns the
-next field with the step that made it, or None at an impasse.
+next field with the step that made it, or None at an impasse. Every
+cohesion, cross affinity and prototype comes from one kernel, ``_mean``,
+which averages the matrix over the pairs its caller passes, in order.
 
 Selection is greedy and fully deterministic: keys rank candidates by
 the cohesion they reach, ties broken by lowest object id and then
@@ -82,55 +84,43 @@ def affinity_matrix(corpus: Corpus) -> AffinityMatrix:
     return tuple(tuple(r) for r in rows)
 
 
-def _mean_within(aff: AffinityMatrix, ids: Sequence[int]) -> float:
-    total = 0.0
-    pairs = 0
-    for x, i in enumerate(ids):
-        for j in ids[x + 1 :]:
-            total += aff[i][j]
-            pairs += 1
-    return total / pairs
+def _mean(aff: AffinityMatrix, pairs: Iterable[tuple[int, int]]) -> float:
+    """Mean of aff[i][j] over pairs, added left to right in the order given.
 
-
-def _mean_across(aff: AffinityMatrix, left: Sequence[int], right: Sequence[int]) -> float:
-    pairs = sorted((min(i, j), max(i, j)) for i in left for j in right)
+    A plain loop: ``sum()`` of floats is compensated from Python 3.12 on.
+    """
     total = 0.0
+    count = 0
     for i, j in pairs:
         total += aff[i][j]
-    return total / len(pairs)
+        count += 1
+    return total / count
 
 
-def _mean_to_others(aff: AffinityMatrix, ids: Sequence[int], i: int) -> float:
-    total = 0.0
-    for j in ids:
-        if j != i:
-            total += aff[i][j]
-    return total / (len(ids) - 1)
+def _cross_pairs(left: Sequence[int], right: Sequence[int]) -> list[tuple[int, int]]:
+    """Every pair across two member sets as (min, max), ascending: the same for (right, left)."""
+    return sorted((min(i, j), max(i, j)) for i in left for j in right)
 
 
 def _new_category(ids: Sequence[int], aff: AffinityMatrix) -> Category:
     members = tuple(sorted(ids))
-    w = _mean_within(aff, members)
-    best = min(members, key=lambda i: (-_mean_to_others(aff, members, i), i))
+    w = _mean(aff, combinations(members, 2))
+    best = min(members, key=lambda i: (-_mean(aff, ((i, j) for j in members if j != i)), i))
     return Category(members, w, best)
 
 
 def _validity(
     member_sets: Sequence[Sequence[int]], params: Parameters, aff: AffinityMatrix
 ) -> FieldValidity:
-    cohesions = tuple(_mean_within(aff, s) for s in member_sets)
+    cohesions = tuple(_mean(aff, combinations(s, 2)) for s in member_sets)
     k = len(member_sets)
     matrix = [[0.0] * k for _ in range(k)]
     ok = all(w >= params.cohesion_threshold for w in cohesions)
-    for i in range(k):
-        for j in range(i + 1, k):
-            d = _mean_across(aff, member_sets[i], member_sets[j])
-            matrix[i][j] = d
-            matrix[j][i] = d
-            if cohesions[i] - d < params.distinctiveness_threshold:
-                ok = False
-            if cohesions[j] - d < params.distinctiveness_threshold:
-                ok = False
+    for i, j in combinations(range(k), 2):
+        d = _mean(aff, _cross_pairs(member_sets[i], member_sets[j]))
+        matrix[i][j] = matrix[j][i] = d
+        if min(cohesions[i], cohesions[j]) - d < params.distinctiveness_threshold:
+            ok = False
     return FieldValidity(cohesions, tuple(tuple(row) for row in matrix), ok)
 
 
@@ -213,7 +203,7 @@ def object_hunt(
         for idx, cat in enumerate(field.categories):
             for obj in field.unclustered:
                 ids = tuple(sorted(cat.members + (obj,)))
-                yield (-_mean_within(aff, ids), obj, idx), ids, idx, (idx,)
+                yield (-_mean(aff, combinations(ids, 2)), obj, idx), ids, idx, (idx,)
 
     return _accept(field, aff, params, "add", candidates())
 
@@ -232,7 +222,7 @@ def merge_hunt(
     def candidates():
         for i, j in combinations(range(len(field.categories)), 2):
             merged = tuple(sorted(field.categories[i].members + field.categories[j].members))
-            yield (-_mean_within(aff, merged), i, j), merged, i, (i, j)
+            yield (-_mean(aff, combinations(merged, 2)), i, j), merged, i, (i, j)
 
     return _accept(field, aff, params, "merge", candidates())
 

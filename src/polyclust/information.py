@@ -11,9 +11,9 @@ counts, as ints (the determinant n11*n00 - n10*n01 equals n11*width -
 ones_a*ones_b), and computes the row, column and cell entropies
 straight from them; no table is built. ``row_entropy`` is the entropy
 of one row from its two counts, and ``info`` prints it per object.
-Cohesion and cross affinity, the means of these affinities over a
-category's pairs, are computed once, over the affinity matrix, in
-``engine``.
+Cohesion, cross affinity and the prototype, means of these affinities
+over sets of pairs, all come from one kernel over the affinity matrix,
+``engine._mean``.
 """
 
 from __future__ import annotations

@@ -34,30 +34,41 @@ from .model import Corpus
 
 @dataclass(frozen=True)
 class PolymorphousQuery:
-    """An "at least m of these features" query, resolved against a corpus."""
+    """An "at least m of these distinct features" query, checked when built."""
 
     m: int
     feature_set: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        features = self.feature_set
+        if not features:
+            raise ValueError("query needs at least one feature label")
+        if min(features) < 0 or len(set(features)) < len(features):
+            raise ValueError(f"feature indices {features} are not distinct and non-negative")
+        if not 1 <= self.m <= len(features):
+            raise ValueError(f"m={self.m} outside [1, {len(features)}]")
+
     @classmethod
     def resolve(cls, corpus: Corpus, m: int, labels: Iterable[str]) -> "PolymorphousQuery":
-        names = tuple(labels)
-        if not names:
-            raise ValueError("query needs at least one feature label")
         indices: list[int] = []
-        for name in names:
+        for name in labels:
             idx = corpus.space.index_of(name)  # raises naming the label
             if idx not in indices:
                 indices.append(idx)
-        if not 1 <= m <= len(indices):
-            raise ValueError(f"m={m} outside [1, {len(indices)}]")
         return cls(m, tuple(indices))
 
 
 def retrieve(corpus: Corpus, query: PolymorphousQuery) -> tuple[int, ...]:
-    """All matching object ids, by descending query-feature count, then id."""
+    """All matching object ids, by descending query-feature count, then id.
+
+    A feature index at or past the corpus width raises ValueError naming it.
+    """
     corpus.validate()
     m, features = query.m, query.feature_set
+    width = len(corpus.space)
+    if max(features) >= width:
+        past = ", ".join(str(f) for f in features if f >= width)
+        raise ValueError(f"feature index {past} out of range for {width} features")
     scored = [(c, obj.id) for obj in corpus.objects if (c := obj.count(features)) >= m]
     scored.sort(key=lambda t: (-t[0], t[1]))
     return tuple(obj_id for _, obj_id in scored)

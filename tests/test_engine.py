@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from conftest import best_member, bits_corpus, cohesion, distinctiveness, make_category, margin
 from polyclust import description, emit_json, engine, information, run
 from polyclust.engine import (
-    _mean_across,
-    _mean_within,
+    _cross_pairs,
+    _mean,
     _new_category,
     affinity_matrix,
     field_valid,
@@ -132,8 +134,9 @@ class TestObjectHunt:
         # object 5 into category 0 ties object 4 into category 1, and is scanned first
         corpus = bits_corpus(["110000", "110000", "000011", "000011", "000111", "111000"])
         aff = affinity_matrix(corpus)
-        best = _mean_within(aff, (2, 3, 4))
-        assert _mean_within(aff, (0, 1, 5)) == best > _mean_within(aff, (0, 1, 4))
+        best = _mean(aff, combinations((2, 3, 4), 2))
+        tie, worse = (_mean(aff, combinations(ids, 2)) for ids in ((0, 1, 5), (0, 1, 4)))
+        assert tie == best > worse
         got = object_hunt(field_of(corpus, ((0, 1), (2, 3))), aff, DEFAULTS)
         assert got is not None
         assert got[1] == engine.TraceStep("add", (4,), 1, best)
@@ -142,7 +145,7 @@ class TestObjectHunt:
         corpus = bits_corpus(["110000", "110000", "000011", "000011", "100001", "100001"])
         aff = affinity_matrix(corpus)
         tied = [(0, 1, 4), (0, 1, 5), (2, 3, 4), (2, 3, 5)]
-        assert len({_mean_within(aff, ids) for ids in tied}) == 1
+        assert len({_mean(aff, combinations(ids, 2)) for ids in tied}) == 1
         params = Parameters(0.3, 0.2)
         for ids in tied:
             cats = (ids, (2, 3)) if ids[0] == 0 else ((0, 1), ids)
@@ -150,7 +153,7 @@ class TestObjectHunt:
         got = object_hunt(field_of(corpus, ((0, 1), (2, 3))), aff, params)
         assert got is not None
         new_field, step = got
-        assert step == engine.TraceStep("add", (4,), 0, _mean_within(aff, (0, 1, 4)))
+        assert step == engine.TraceStep("add", (4,), 0, _mean(aff, combinations((0, 1, 4), 2)))
         assert [c.members for c in new_field.categories] == [(0, 1, 4), (2, 3)]
         assert new_field.unclustered == (5,)
 
@@ -159,7 +162,8 @@ class TestObjectHunt:
         aff = affinity_matrix(corpus)
         params = Parameters(0.1, 0.2)
         # object 4 gives the two best keys, but either addition breaks a margin
-        keys = [_mean_within(aff, ids) for ids in ((2, 3, 4), (0, 1, 4), (2, 3, 5), (0, 1, 5))]
+        adds = ((2, 3, 4), (0, 1, 4), (2, 3, 5), (0, 1, 5))
+        keys = [_mean(aff, combinations(ids, 2)) for ids in adds]
         assert keys[0] > keys[1] > keys[2] > keys[3]
         for cats in (((0, 1), (2, 3, 4)), ((0, 1, 4), (2, 3))):
             assert not field_valid(field_of(corpus, cats), corpus, params).ok
@@ -199,7 +203,7 @@ class TestMergeHunt:
         corpus = bits_corpus(["110000", "110000", "001100", "001100", "000011", "000011"])
         aff = affinity_matrix(corpus)
         merges = [(0, 1, 2, 3), (0, 1, 4, 5), (2, 3, 4, 5)]
-        assert len({_mean_within(aff, ids) for ids in merges}) == 1
+        assert len({_mean(aff, combinations(ids, 2)) for ids in merges}) == 1
         field = field_of(corpus, ((0, 1), (2, 3), (4, 5)))
         got = merge_hunt(field, aff, Parameters(0.3, 0.2))
         assert got is not None
@@ -216,7 +220,8 @@ class TestMergeHunt:
         new_field, step = got
         assert [c.members for c in new_field.categories] == [(0, 1, 4, 5), (2, 3)]
         assert new_field.categories[1] is field.categories[1]
-        assert step == engine.TraceStep("merge", (), 0, _mean_within(aff, (0, 1, 4, 5)), (0, 2))
+        merged = _mean(aff, combinations((0, 1, 4, 5), 2))
+        assert step == engine.TraceStep("merge", (), 0, merged, (0, 2))
 
 
 class TestRun:
@@ -398,9 +403,9 @@ class TestMatrixKernelEqualsObjectOracles:
             left, right = sorted(ids[:cut]), sorted(ids[cut:])
             left_objs = [corpus.objects[i] for i in left]
             right_objs = [corpus.objects[i] for i in right]
-            assert _mean_across(aff, left, right) == distinctiveness(left_objs, right_objs)
-            assert _mean_across(aff, right, left) == distinctiveness(right_objs, left_objs)
-            assert _mean_across(aff, left, right) == distinctiveness(right_objs, left_objs)
+            assert _mean(aff, _cross_pairs(left, right)) == distinctiveness(left_objs, right_objs)
+            assert _mean(aff, _cross_pairs(right, left)) == distinctiveness(right_objs, left_objs)
+            assert _mean(aff, _cross_pairs(left, right)) == distinctiveness(right_objs, left_objs)
             for unsorted, members, objs in (
                 (ids[:cut], left, left_objs),
                 (ids[cut:], right, right_objs),
@@ -408,12 +413,37 @@ class TestMatrixKernelEqualsObjectOracles:
                 if len(members) < 2:
                     continue
                 categories_checked += 1
-                assert _mean_within(aff, members) == cohesion(objs)
+                assert _mean(aff, combinations(members, 2)) == cohesion(objs)
                 category = _new_category(unsorted, aff)
                 assert category.members == tuple(members)
                 assert category.cohesion == cohesion(objs)
                 assert category.best_member == best_member(category, corpus)
         assert categories_checked >= 300
+
+
+class TestMeanKernelOrder:
+    """``_mean`` adds in the order given, never compensated, on every Python."""
+
+    # 1e16 + 1.0 rounds back to 1e16, so the order of the three terms shows in the sum
+    AFF = ((0.0, 1e16, 1.0), (1e16, 0.0, 1.0), (1.0, 1.0, 0.0))
+
+    def test_adds_left_to_right(self):
+        pairs = [(0, 1), (0, 2), (1, 2)]
+        total = 0.0
+        for i, j in pairs:
+            total += self.AFF[i][j]
+        assert _mean(self.AFF, pairs) == total / 3 == 1e16 / 3
+        assert _mean(self.AFF, pairs) != math.fsum(self.AFF[i][j] for i, j in pairs) / 3
+
+    def test_order_is_the_callers(self):
+        assert _mean(self.AFF, combinations(range(3), 2)) == 1e16 / 3
+        assert _mean(self.AFF, [(1, 2), (0, 2), (0, 1)]) == (1e16 + 2.0) / 3 != 1e16 / 3
+
+    def test_cross_pairs_do_not_depend_on_the_side(self):
+        left, right = (5, 0, 3), (4, 1)
+        pairs = _cross_pairs(left, right)
+        assert pairs == _cross_pairs(right, left)
+        assert pairs == [(0, 1), (0, 4), (1, 3), (1, 5), (3, 4), (4, 5)]
 
 
 class TestLayerCallsGoThroughModuleAttributes:

@@ -72,6 +72,49 @@ class TestMatch:
         with pytest.raises(ValueError, match="m=4"):
             PolymorphousQuery.resolve(corpus, 4, ("a", "b", "c"))
 
+    def test_no_labels(self):
+        corpus = bits_corpus(["111"], features=["a", "b", "c"])
+        with pytest.raises(ValueError, match="at least one feature label"):
+            PolymorphousQuery.resolve(corpus, 1, ())
+
+    def test_repeated_labels_resolve_once(self):
+        corpus = bits_corpus(["100"], features=["a", "b", "c"])
+        query = PolymorphousQuery.resolve(corpus, 1, ("a", "a", "b"))
+        assert query == PolymorphousQuery(1, (0, 1))
+
+
+class TestQueryInvariants:
+    """A query built directly is held to the same checks as a resolved one."""
+
+    @pytest.mark.parametrize(
+        "m, features, message",
+        [
+            (1, (), "at least one feature label"),
+            (2, (0, 0), r"\(0, 0\) are not distinct"),
+            (1, (-1,), "not distinct and non-negative"),
+            (1, (2, -1), "not distinct and non-negative"),
+            (5, (0, 1), r"m=5 outside \[1, 2\]"),
+            (0, (0,), r"m=0 outside \[1, 1\]"),
+        ],
+    )
+    def test_rejected_at_construction(self, m, features, message):
+        with pytest.raises(ValueError, match=message):
+            PolymorphousQuery(m, features)
+
+    def test_index_past_the_width_is_named(self):
+        corpus = bits_corpus(["100", "111"], features=["a", "b", "c"])
+        with pytest.raises(ValueError, match="feature index 5 out of range for 3 features"):
+            retrieve(corpus, PolymorphousQuery(1, (5,)))
+        with pytest.raises(ValueError, match="feature index 3, 4 out of range"):
+            retrieve(corpus, PolymorphousQuery(1, (0, 3, 4)))
+
+    def test_a_direct_query_answers_as_the_resolved_one(self):
+        corpus = bits_corpus(["100", "110", "011"], features=["a", "b", "c"])
+        direct = PolymorphousQuery(2, (0, 1))
+        assert direct == PolymorphousQuery.resolve(corpus, 2, ("a", "b"))
+        assert retrieve(corpus, direct) == (1,)
+        assert retrieve(corpus, PolymorphousQuery(1, (2,))) == (2,)
+
 
 class TestRetrieve:
     def test_full_holder_ranks_first(self):
