@@ -2,8 +2,8 @@
 
 Three input shapes are supported: CSV attribute tables (header row of
 attribute names, optional reserved leading "label" column, empty cell
-means missing), refer-style bibliographic records (blank-line separated,
-keywords on "%# code: KEYWORD" lines), and raw binary matrices
+means missing), refer-style bibliographic records (blank-line separated;
+`parse_refer` gives their line grammar), and raw binary matrices
 ("label,b1,b2,..." rows). CSV and refer input pass through one-hot
 encoding; matrix input maps directly onto a corpus.
 """
@@ -19,7 +19,7 @@ from collections import Counter
 from collections.abc import Hashable
 from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, Union
 
 from . import description
 from .model import Corpus, CorpusError, FeatureSpace, ObjectInstance
@@ -93,72 +93,69 @@ def parse_csv(text: str) -> Table:
     return Table(attributes, tuple(rows), tuple(labels) if has_labels else None)
 
 
-_FIELD_LINE = re.compile(r"^%([A-Za-z])(\s+(.*))?$")
+_LABEL_AT_END = re.compile(r"abstract\s+\d+\s*$")
+_LABEL = re.compile(r"abstract\s+\d+")
 
 
 def parse_refer(text: str) -> tuple[RefRecord, ...]:
     """Parse refer-style records separated by blank lines.
 
-    Keywords come from "%#" lines, taking the text after the first
-    colon. The label is drawn from the leading comment line (an
-    "abstract N" phrase when one is present), falling back to the title.
-    A record without any keyword line is an error naming the record.
+    Each stripped, non-blank line of a record is read once, by its first
+    two characters:
+    - "%#" is a keyword: the text after the first colon, or all of it
+      when there is none;
+    - "%" then one ASCII letter, then the end of the line or whitespace,
+      is a field code, of which only %T (the title) is kept;
+    - any other "%" line is a comment;
+    - a line without "%" continues the keyword, title or comment above.
+    The label is the comment's "abstract N" phrase (the one ending the
+    comment, else the first), else the comment, the title or "record N".
+    Empty and repeated keywords go only after their continuation lines
+    are joined; a record left with no keyword is an error naming it.
     """
     blocks = [b for b in re.split(r"\n\s*\n", text.strip()) if b.strip()]
     if not blocks:
         raise ParseError("empty input: no records")
     records: list[RefRecord] = []
     for position, block in enumerate(blocks, 1):
-        comment = ""
-        title = ""
+        comment = title = ""
         keywords: list[str] = []
         last: Optional[str] = None
         for raw_line in block.splitlines():
             line = raw_line.strip()
             if not line:
                 continue
-            if line.startswith("%#"):
-                body = line[2:].strip()
-                keywords.append(body.split(":", 1)[1].strip() if ":" in body else body)
-                last = "keyword"
+            if line[0] != "%":
+                if last == "title":
+                    title = f"{title} {line}".strip()
+                elif last == "keyword":
+                    keywords[-1] = f"{keywords[-1]} {line}".strip()
+                elif last == "comment":
+                    comment = f"{comment} {line}".strip()
                 continue
-            field = _FIELD_LINE.match(line)
-            if field:
-                code, value = field.group(1), (field.group(3) or "").strip()
+            code = line[1:2]
+            if code == "#":
+                colon = line.find(":", 2)
+                keywords.append(line[colon + 1 if colon >= 0 else 2 :].strip())
+                last = "keyword"
+            elif code.isascii() and code.isalpha() and (len(line) == 2 or line[2].isspace()):
                 if code == "T":
-                    title = f"{title} {value}".strip()
+                    title = f"{title} {line[2:].strip()}".strip()
                     last = "title"
                 else:
                     last = None
-                continue
-            if line.startswith("%"):
+            else:
                 body = line[1:].strip()
                 comment = f"{comment} {body}".strip() if comment else body
                 last = "comment"
-                continue
-            if last == "title":
-                title = f"{title} {line}".strip()
-            elif last == "keyword":
-                keywords[-1] = f"{keywords[-1]} {line}".strip()
-            elif last == "comment":
-                comment = f"{comment} {line}".strip()
-        found = re.search(r"abstract\s+\d+\s*$", comment) or re.search(
-            r"abstract\s+\d+", comment
-        )
-        if found:
-            label = re.sub(r"\s+", " ", found.group(0)).strip()
-        elif comment:
-            label = comment
-        elif title:
-            label = title
-        else:
-            label = f"record {position}"
-        # every %# line holds its place for its continuation lines; empty and
-        # repeated keywords go only now, each keyword kept at its first place
-        unique = tuple(dict.fromkeys(k for k in keywords if k))
+        found = "abstract" in comment and (_LABEL_AT_END.search(comment) or _LABEL.search(comment))
+        default = comment or title or f"record {position}"
+        label = " ".join(found.group(0).split()) if found else default
+        unique = dict.fromkeys(keywords)  # each keyword at its first place
+        unique.pop("", None)
         if not unique:
             raise ParseError(f"record {label!r} has no keyword lines (%#)")
-        records.append(RefRecord(label, title, unique))
+        records.append(RefRecord(label, title, tuple(unique)))
     return tuple(records)
 
 
@@ -183,35 +180,16 @@ def one_hot_encode(
     for tables; record by record for keywords). Features present in all
     objects or in none carry zero transmission and are dropped with a
     logged notice. A keyword named twice in one record counts once.
-    Encoding is one pass over the cells through dict indexes, so its
-    time is linear in the corpus size. Each object's row is `bytes`, one
-    byte (0 or 1) per feature: the rows of a 2000-record keyword corpus
-    with about 1500 features retain 3.5 MB, where tuples of ints took
-    24.8 MB. The corpus is not validated here; `validate_corpus` does
-    that.
+    Encoding is one pass over the cells through dict indexes, keyed by
+    the keyword strings themselves, so its time is linear in the corpus
+    size. Each object's row is `bytes`, one byte (0 or 1) per feature.
+    The corpus is not validated here; `validate_corpus` does that.
     """
     if isinstance(source, Table):
         if with_title_tokens:
             raise ValueError("with_title_tokens applies to refer records only")
         return _encode_table(source)
     return _encode_keywords(tuple(source), with_title_tokens=with_title_tokens)
-
-
-def _keep_informative(
-    features: Sequence[tuple[str, str]], counts: Sequence[int], n: int
-) -> list[int]:
-    kept: list[int] = []
-    for idx, (feature, count) in enumerate(zip(features, counts)):
-        if 0 < count < n:
-            kept.append(idx)
-        else:
-            reason = "all" if count == n else "none"
-            logger.info(
-                "dropping feature %r: present in %s of %d objects", feature, reason, n
-            )
-    if not kept:
-        raise CorpusError("no informative features: every feature is constant")
-    return kept
 
 
 def _encode_table(table: Table) -> Corpus:
@@ -226,53 +204,71 @@ def _encode_table(table: Table) -> Corpus:
         raise CorpusError("empty corpus: no attribute values observed")
     # attribute by attribute; the stable sort keeps each one's values in first-appearance order
     ordered = sorted(counts, key=lambda key: key[0])
-    features = [(table.attributes[col], value) for col, value in ordered]
     labels = table.labels or tuple(f"row{i + 1}" for i in range(n))
-    return _assemble(per_row, ordered, features, [counts[key] for key in ordered], labels)
+    ordered_counts = [counts[key] for key in ordered]
+    return _assemble(
+        per_row, ordered, lambda key: (table.attributes[key[0]], key[1]), ordered_counts, labels
+    )
 
 
 def _encode_keywords(
     records: tuple[RefRecord, ...], *, with_title_tokens: bool
 ) -> Corpus:
+    """Keywords are keyed by their strings and title tokens by ("title", token) tuples."""
     if not records:
         raise CorpusError("empty corpus: no records")
-    per_record: list[tuple[tuple[str, str], ...]] = []
-    for record in records:
-        keys = [(keyword, keyword) for keyword in record.keywords]
-        if with_title_tokens:
-            keys.extend(("title", token) for token in title_tokens(record))
-        per_record.append(tuple(dict.fromkeys(keys)))
+    if with_title_tokens:
+        per_record = [
+            dict.fromkeys([(k, k) for k in r.keywords] + [("title", t) for t in title_tokens(r)])
+            for r in records
+        ]
+    else:
+        per_record = [dict.fromkeys(record.keywords) for record in records]
     counts = Counter(chain.from_iterable(per_record))  # first-appearance order
-    ordered = list(counts)
     labels = [record.label for record in records]
-    return _assemble(per_record, ordered, ordered, list(counts.values()), labels)
+    feature = (lambda key: key) if with_title_tokens else (lambda keyword: (keyword, keyword))
+    return _assemble(per_record, list(counts), feature, list(counts.values()), labels)
 
 
 def _assemble(
-    per_object: Sequence[tuple[Hashable, ...]],
+    per_object: Sequence[Iterable[Hashable]],
     ordered: Sequence[Hashable],
-    features: Sequence[tuple[str, str]],
+    feature: Callable[[Hashable], tuple[str, str]],
     counts: Sequence[int],
     labels: Sequence[str],
 ) -> Corpus:
-    """Keep the informative features and set each object's bits from its own keys.
+    """Drop the constant features, then set each object's bits from its own keys.
 
-    ordered[i] is the key of features[i], held by counts[i] objects; no
-    object holds a key twice.
+    ordered[i] is held by counts[i] objects, none holding a key twice.
+    feature(key) names a key's feature; names are built after the drop,
+    for the kept keys and the drop notices only.
     """
-    kept = _keep_informative(features, counts, len(per_object))
-    space = FeatureSpace(tuple(features[i] for i in kept))
+    n = len(per_object)
+    kept: list[int] = []
+    for k, count in enumerate(counts):
+        if 0 < count < n:
+            kept.append(k)
+        else:
+            reason = "all" if count == n else "none"
+            logger.info(
+                "dropping feature %r: present in %s of %d objects", feature(ordered[k]), reason, n
+            )
+    if not kept:
+        raise CorpusError("no informative features: every feature is constant")
+    space = FeatureSpace(tuple(feature(ordered[k]) for k in kept))
     column = {ordered[k]: j for j, k in enumerate(kept)}
-    width = len(kept)
+    zero = bytes(len(kept))
     objects: list[ObjectInstance] = []
     for i, keys in enumerate(per_object):
-        bits = bytearray(width)
-        for key in keys:
-            j = column.get(key)
+        bits = bytearray(zero)
+        for j in map(column.get, keys):
             if j is not None:
                 bits[j] = 1
         objects.append(ObjectInstance(i, labels[i], bytes(bits)))
     return Corpus(space, tuple(objects))
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def parse_matrix(text: str) -> Corpus:
@@ -280,7 +276,10 @@ def parse_matrix(text: str) -> Corpus:
 
     Features are auto-named f0..f{F-1}; nothing is dropped here, so
     acceptance of a matrix corpus never depends on encoding choices.
-    Each row is stored as `bytes`, one byte (0 or 1) per feature.
+    Each row is stored as `bytes`, one byte (0 or 1) per feature, and is
+    checked whole, in C: its cells are each one "0" or "1" exactly when
+    none is empty and their text is one 0 or 1 per cell. Only a row that
+    fails is walked cell by cell, to name its first bad cell.
     """
     raw = _csv_rows(text)
     if not raw:
@@ -292,12 +291,13 @@ def parse_matrix(text: str) -> Corpus:
     for obj_id, (line_num, cells) in enumerate(raw):
         if len(cells) != arity:
             raise ParseError(f"line {line_num}: expected {arity} fields, got {len(cells)}")
-        bits = bytearray()
-        for pos, cell in enumerate(cells[1:]):
-            if cell not in ("0", "1"):
-                raise ParseError(f"line {line_num}: bit {pos} is {cell!r}, expected 0 or 1")
-            bits.append(int(cell))
-        objects.append(ObjectInstance(obj_id, cells[0], bytes(bits)))
+        bit_cells = cells[1:]
+        row = "".join(bit_cells)
+        if len(row) != arity - 1 or "" in bit_cells or row.strip("01"):
+            for pos, cell in enumerate(bit_cells):
+                if cell not in ("0", "1"):
+                    raise ParseError(f"line {line_num}: bit {pos} is {cell!r}, expected 0 or 1")
+        objects.append(ObjectInstance(obj_id, cells[0], row.encode().translate(_BIT_BYTES)))
     space = FeatureSpace(tuple((f"f{i}", f"f{i}") for i in range(arity - 1)))
     return Corpus(space, tuple(objects))
 

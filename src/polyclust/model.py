@@ -304,10 +304,13 @@ class PolymorphousRule:
     false_alarm_rate: float
 
     def __post_init__(self) -> None:
-        if not self.feature_set:
+        features = self.feature_set
+        if not features:
             raise ValueError("empty rule feature set")
-        if not 0 <= self.m <= len(self.feature_set):
-            raise ValueError(f"m={self.m} outside [0, {len(self.feature_set)}]")
+        if min(features) < 0 or len(set(features)) < len(features):
+            raise ValueError(f"feature indices {features} are not distinct and non-negative")
+        if not 0 <= self.m <= len(features):
+            raise ValueError(f"m={self.m} outside [0, {len(features)}]")
 
     @property
     def n(self) -> int:

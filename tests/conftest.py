@@ -18,18 +18,23 @@ own ``information.affinity`` to the seed; the program scores only the
 objects that share a feature with the seed, through the corpus's
 feature index. ``misclassification`` counts a rule's false alarms and
 misses over a field, through ``ObjectInstance.count``, the count that
-rule extraction and retrieval use.
+rule extraction and retrieval use. ``oracle_parse_refer`` reads each
+refer line with a regular expression for field codes and two module-level
+searches for the "abstract N" label; ``dataio.parse_refer`` reads each
+line once, by its first two characters.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional, Sequence
 
 import pytest
 
 from polyclust import datasets, information
+from polyclust.dataio import ParseError, RefRecord
 from polyclust.information import Bits, affinity
 from polyclust.model import (
     Category,
@@ -233,6 +238,67 @@ def misclassification(
     misses = sum(1 for i in category.members if not satisfied(i))
     assert misses == 0, f"rule misses {misses} of its own members"
     return false_alarms, misses
+
+
+_FIELD_LINE = re.compile(r"^%([A-Za-z])(\s+(.*))?$")
+
+
+def oracle_parse_refer(text: str) -> tuple[RefRecord, ...]:
+    """Refer records read line by line through ``_FIELD_LINE``, as ``dataio.parse_refer`` must."""
+    blocks = [b for b in re.split(r"\n\s*\n", text.strip()) if b.strip()]
+    if not blocks:
+        raise ParseError("empty input: no records")
+    records: list[RefRecord] = []
+    for position, block in enumerate(blocks, 1):
+        comment = ""
+        title = ""
+        keywords: list[str] = []
+        last: Optional[str] = None
+        for raw_line in block.splitlines():
+            line = raw_line.strip()
+            if not line:
+                continue
+            if line.startswith("%#"):
+                body = line[2:].strip()
+                keywords.append(body.split(":", 1)[1].strip() if ":" in body else body)
+                last = "keyword"
+                continue
+            field = _FIELD_LINE.match(line)
+            if field:
+                code, value = field.group(1), (field.group(3) or "").strip()
+                if code == "T":
+                    title = f"{title} {value}".strip()
+                    last = "title"
+                else:
+                    last = None
+                continue
+            if line.startswith("%"):
+                body = line[1:].strip()
+                comment = f"{comment} {body}".strip() if comment else body
+                last = "comment"
+                continue
+            if last == "title":
+                title = f"{title} {line}".strip()
+            elif last == "keyword":
+                keywords[-1] = f"{keywords[-1]} {line}".strip()
+            elif last == "comment":
+                comment = f"{comment} {line}".strip()
+        found = re.search(r"abstract\s+\d+\s*$", comment) or re.search(
+            r"abstract\s+\d+", comment
+        )
+        if found:
+            label = re.sub(r"\s+", " ", found.group(0)).strip()
+        elif comment:
+            label = comment
+        elif title:
+            label = title
+        else:
+            label = f"record {position}"
+        unique = tuple(dict.fromkeys(k for k in keywords if k))
+        if not unique:
+            raise ParseError(f"record {label!r} has no keyword lines (%#)")
+        records.append(RefRecord(label, title, unique))
+    return tuple(records)
 
 
 def make_category(corpus: Corpus, ids: Sequence[int]) -> Category:

@@ -10,13 +10,13 @@ from collections import Counter
 
 import pytest
 
-from conftest import bits_corpus
+from conftest import bits_corpus, oracle_parse_refer
 from polyclust import datasets, emit_json, run
 from polyclust.dataio import (
     ParseError,
     RefRecord,
     Table,
-    _keep_informative,
+    _csv_rows,
     one_hot_encode,
     parse_csv,
     parse_matrix,
@@ -125,6 +125,65 @@ class TestParseRefer:
     def test_empty_input(self):
         with pytest.raises(ParseError, match="no records"):
             parse_refer("   \n\n  ")
+
+
+# Pieces of refer text for the differential parser test: each kind of line
+# that the grammar tells apart, with the near misses of each, and the blanks
+# and line breaks that str.strip and str.splitlines treat specially.
+_KEYWORD_LINES = (
+    "%# 1: VISUAL SEARCH", "%# 2: MEMORY", "%#3:MEMORY", "%# 4:", "%#", "%#:",
+    "%# NO COLON", "%# 5: a:b", "%#6:\tIMAGERY\u00a0",
+)
+_FIELD_LINES = (
+    "%T Visual search", "%T", "%T\tMemory  models", "%T\x1fword", "%T\u3000word", "%A Author",
+    "%Q", "%Tx not a title", "%é x", "%é", "%1 y", "%", "%#T", "%%T x", "%T:x",
+)
+_COMMENT_LINES = (
+    "% abstract 3", "% abstract 12  ", "% see abstract 4 and abstract 5 here", "%abstract\t7",
+    "% note", "% abstract x", "%abstract 1 abstract 2", "% abstract\u20036\u00a0",
+)
+_CONTINUATIONS = ("SEARCH", "more words", "abstract 9", "x", "T x")
+_BLANKS = ("", " ", "\t", "\x0c", "\x1c", "\x85", "\u00a0", "\u3000")
+_BREAKS = ("\n", "\n", "\n", "\r\n", "\r", "\x0c", "\x1c", "\x85", "\u2028", "\x0b")
+_LINE_KINDS = (_KEYWORD_LINES, _FIELD_LINES, _COMMENT_LINES, _CONTINUATIONS, _BLANKS)
+
+
+def _random_refer_text(rng: random.Random) -> str:
+    records = []
+    for _ in range(rng.randint(1, 3)):
+        lines = []
+        for _ in range(rng.randint(0, 7)):
+            line = rng.choice(rng.choice(_LINE_KINDS))
+            if rng.random() < 0.2:
+                line = rng.choice(_BLANKS) + line + rng.choice(_BLANKS)
+            lines.append(line + rng.choice(_BREAKS))
+        records.append("".join(lines))
+    return rng.choice(("\n\n", "\n \n", "\r\n\r\n", "\n\x0c\n", "\n")).join(records)
+
+
+def _parsed(parse, text: str):
+    """What a parser made of the text: its records or corpus, or its ParseError message."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return ("ParseError", str(exc))
+
+
+def test_parse_refer_agrees_with_regex_oracle_on_random_text():
+    """Equal records, or an equal ParseError message, on 20k random refer texts."""
+    rng = random.Random("refer-parser-differential")
+    seen: set[str] = set()
+    for _ in range(20_000):
+        text = _random_refer_text(rng)
+        got = _parsed(parse_refer, text)
+        assert got == _parsed(oracle_parse_refer, text), text
+        if got[0] == "ParseError":
+            seen.add("no keyword" if "no keyword" in got[1] else "empty")
+        else:
+            seen.add("records")
+            seen.update("abstract" for r in got if r.label.startswith("abstract"))
+            seen.update("title" for r in got if r.title)
+    assert seen == {"no keyword", "empty", "records", "abstract", "title"}
 
 
 class TestOneHotEncode:
@@ -249,6 +308,64 @@ class TestParseMatrix:
             parse_matrix("")
 
 
+def _oracle_parse_matrix(text: str) -> Corpus:
+    """The matrix parser that checked and converted each bit cell in Python."""
+    raw = _csv_rows(text)
+    if not raw:
+        raise ParseError("empty input: no rows")
+    arity = len(raw[0][1])
+    if arity < 2:
+        raise ParseError(f"line {raw[0][0]}: a matrix row needs a label and at least one bit")
+    objects: list[ObjectInstance] = []
+    for obj_id, (line_num, cells) in enumerate(raw):
+        if len(cells) != arity:
+            raise ParseError(f"line {line_num}: expected {arity} fields, got {len(cells)}")
+        bits = bytearray()
+        for pos, cell in enumerate(cells[1:]):
+            if cell not in ("0", "1"):
+                raise ParseError(f"line {line_num}: bit {pos} is {cell!r}, expected 0 or 1")
+            bits.append(int(cell))
+        objects.append(ObjectInstance(obj_id, cells[0], bytes(bits)))
+    space = FeatureSpace(tuple((f"f{i}", f"f{i}") for i in range(arity - 1)))
+    return Corpus(space, tuple(objects))
+
+
+class TestParseMatrixAgreesWithCellLoopOracle:
+    # cells that are not one "0" or "1"; "１" is a full-width digit
+    BAD_CELLS = ("2", "", "01", "1.0", "１", '"0,1"', "0 1", "\u00a0", "10", "00")
+
+    @pytest.mark.parametrize("bad", BAD_CELLS)
+    def test_bad_cell_is_named_as_before(self, bad):
+        for row in (f"b,{bad},1,0", f"b,1,{bad},0", f"b,0,1,{bad}", f"b,{bad},,01"):
+            text = f"a,1,0,1\n{row}\n"
+            got = _parsed(parse_matrix, text)
+            assert got == _parsed(_oracle_parse_matrix, text)
+            assert not isinstance(got, Corpus), text
+
+    @pytest.mark.parametrize("row", ["b,,01,1", "b,01,,1", "b,1,10,"])
+    def test_empty_and_two_character_cells_that_keep_the_row_length(self, row):
+        text = f"a,1,0,1\n{row}\n"
+        got = _parsed(parse_matrix, text)
+        assert got == _parsed(_oracle_parse_matrix, text)
+        assert not isinstance(got, Corpus)
+
+    def test_random_matrices(self):
+        rng = random.Random("matrix-differential")
+        cells = ("0", "1") * 12 + self.BAD_CELLS
+        outcomes = set()
+        for _ in range(3000):
+            width = rng.randint(1, 5)
+            lines = [
+                ",".join([f"r{i}", *rng.choices(cells, k=rng.randint(width, width + 1))])
+                for i in range(rng.randint(1, 4))
+            ]
+            text = "\n".join(lines) + "\n"
+            got = _parsed(parse_matrix, text)
+            assert got == _parsed(_oracle_parse_matrix, text), text
+            outcomes.add("ok" if isinstance(got, Corpus) else got[0])
+        assert outcomes == {"ParseError", "ok"}
+
+
 class TestParsersStoreBytesRows:
     """Every parser path stores each object's row as bytes, one 0/1 byte per feature."""
 
@@ -355,6 +472,22 @@ class TestEmitJson:
 # quadratic, but obviously in first-appearance order.
 
 
+def _oracle_keep_informative(features: list[tuple[str, str]], counts: list[int], n: int):
+    """The indices of the features held by some but not all n objects; the rest are logged."""
+    kept: list[int] = []
+    for idx, (feature, count) in enumerate(zip(features, counts)):
+        if 0 < count < n:
+            kept.append(idx)
+        else:
+            reason = "all" if count == n else "none"
+            logging.getLogger("polyclust.dataio").info(
+                "dropping feature %r: present in %s of %d objects", feature, reason, n
+            )
+    if not kept:
+        raise CorpusError("no informative features: every feature is constant")
+    return kept
+
+
 def _oracle_encode_table(table: Table) -> Corpus:
     n = len(table.rows)
     if n == 0:
@@ -370,7 +503,7 @@ def _oracle_encode_table(table: Table) -> Corpus:
     if not specs:
         raise CorpusError("empty corpus: no attribute values observed")
     counts = [sum(1 for row in table.rows if row[col] == value) for _, value, col in specs]
-    kept = _keep_informative([(a, v) for a, v, _ in specs], counts, n)
+    kept = _oracle_keep_informative([(a, v) for a, v, _ in specs], counts, n)
     space = FeatureSpace(tuple((specs[i][0], specs[i][1]) for i in kept))
     labels = table.labels or tuple(f"row{i + 1}" for i in range(n))
     objects = tuple(
@@ -400,7 +533,7 @@ def _oracle_encode_keywords(records: tuple[RefRecord, ...], with_title_tokens: b
             if key not in ordered:
                 ordered.append(key)
     counts = [sum(1 for keys in per_record if key in keys) for key in ordered]
-    kept = _keep_informative(ordered, counts, n)
+    kept = _oracle_keep_informative(ordered, counts, n)
     space = FeatureSpace(tuple(ordered[i] for i in kept))
     objects = tuple(
         ObjectInstance(

@@ -364,6 +364,24 @@ class TestPolymorphousRule:
         with pytest.raises(ValueError):
             PolymorphousRule(1, (), (), (), 0.0)
 
+    @pytest.mark.parametrize(
+        "m, features, message",
+        [
+            (1, (0, 0), r"\(0, 0\) are not distinct"),
+            (1, (2, 0, 2), "not distinct and non-negative"),
+            (1, (-1,), "not distinct and non-negative"),
+            (0, (1, -2), "not distinct and non-negative"),
+            (-1, (0,), r"m=-1 outside \[0, 1\]"),
+        ],
+    )
+    def test_repeated_and_negative_features_rejected(self, m, features, message):
+        with pytest.raises(ValueError, match=message):
+            PolymorphousRule(m, features, (), (), 0.0)
+
+    def test_m_of_zero_and_of_all_allowed(self):
+        assert PolymorphousRule(0, (3,), (), (), 0.0).m == 0
+        assert PolymorphousRule(2, (1, 0), (), (), 0.0).n == 2
+
     def test_polymorphy_flag(self):
         assert PolymorphousRule(2, (0, 1, 2), (), (), 0.0).polymorphous
         assert not PolymorphousRule(2, (0, 1), (), (), 0.0).polymorphous
