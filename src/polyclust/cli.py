@@ -43,7 +43,8 @@ def _load_corpus(path: str, fmt: Optional[str], with_title_tokens: bool = False)
     if with_title_tokens and fmt != "refer":
         raise click.UsageError("--with-title-tokens applies to refer input only")
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # utf-8-sig drops a leading byte-order mark, which would open the first line
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise click.ClickException(f"cannot read {path}: {exc}") from exc
     try:

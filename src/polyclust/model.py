@@ -170,25 +170,42 @@ class Corpus:
         return self._warnings
 
     @cached_property
-    def feature_index(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        """``(postings, sizes)``, built on first use and cached.
+    def feature_index(
+        self,
+    ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]:
+        """``(bitmaps, sizes, size_bitmaps)``, built on first use and cached.
 
-        ``postings[f]`` holds the ascending ids of the objects that have
-        feature f; ``sizes[i]`` is object i's number of present features.
-        Validates the corpus first. One pass over the objects; each row
-        is read by ``ObjectInstance.present`` and the postings hold the
-        objects' own id ints.
+        ``bitmaps[f]`` is an int with bit j set when object j has feature
+        f; ``sizes[j]`` is object j's number of present features; and
+        ``size_bitmaps`` holds one ``(size, bitmap)`` pair per distinct
+        size, ascending, the bitmap setting the bits of the objects of
+        that size. Validates the corpus first, so object j has id j.
+        One pass over the rows, highest id first, finds each row's
+        features with ``bytes.find``, as ``ObjectInstance.present`` does,
+        and ORs the object's bit into their bitmaps. The bitmaps retain
+        about n·F/8 bytes.
         """
         self.validate()
-        postings: list[list[int]] = [[] for _ in range(len(self.space))]
+        bitmaps = [0] * len(self.space)
         sizes: list[int] = []
-        for obj in self.objects:
-            present = obj.present()
-            sizes.append(len(present))
-            oid = obj.id
-            for f in present:
-                postings[f].append(oid)
-        return tuple(map(tuple, postings)), tuple(sizes)
+        by_size: dict[int, int] = {}
+        bit = 1 << len(self.objects)
+        # Highest id first: a bitmap has its final width from its first OR,
+        # so each OR frees an int of the size it allocates. In id order, the
+        # freed ints of every width pin memory that later allocations can't reuse.
+        for obj in reversed(self.objects):
+            bit >>= 1
+            row = obj.bits
+            size = 0
+            f = row.find(1)
+            while f >= 0:
+                bitmaps[f] |= bit
+                size += 1
+                f = row.find(1, f + 1)
+            sizes.append(size)
+            by_size[size] = by_size.get(size, 0) | bit
+        sizes.reverse()
+        return tuple(bitmaps), tuple(sizes), tuple(sorted(by_size.items()))
 
     def object_by_label(self, label: str) -> ObjectInstance:
         idx = self._by_label.get(label)

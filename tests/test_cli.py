@@ -251,6 +251,54 @@ class TestInfo:
         assert "objects: 3  features: 4" in result.output
 
 
+BOM_CASES = {
+    "csv": (
+        datasets.shapes_text(),
+        ["--cohesion", "0.05", "--distinctiveness", "0.05"],
+        ["--rule", "2:circular,symmetric,black"],
+        ["--seed", "csb", "--top", "3"],
+    ),
+    "ref": (
+        datasets.abstracts_text(),
+        ["--cohesion", "0.004", "--distinctiveness", "0.002"],
+        ["--rule", "1:VISUAL SEARCH"],
+        ["--seed", "abstract 1", "--top", "3"],
+    ),
+    "matrix": (
+        "a,1,1,0,0\nb,1,1,0,1\nc,0,0,1,1\nd,0,1,1,1\n",
+        ["--cohesion", "0.05", "--distinctiveness", "0.05"],
+        ["--rule", "2:f0,f1,f3"],
+        ["--seed", "a", "--top", "2"],
+    ),
+}
+
+
+class TestByteOrderMark:
+    """A file that starts with a UTF-8 byte-order mark reads like the same file without it."""
+
+    @pytest.mark.parametrize("suffix", list(BOM_CASES))
+    @pytest.mark.parametrize("command", ["cluster", "rule", "seed", "info"])
+    def test_output_byte_identical(self, runner, tmp_path, suffix, command):
+        text, cluster_args, rule_args, seed_args = BOM_CASES[suffix]
+        argv = {
+            "cluster": ["cluster", *cluster_args],
+            "rule": ["query", *rule_args],
+            "seed": ["query", *seed_args],
+            "info": ["info"],
+        }[command]
+        results = []
+        for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            path = tmp_path / name / f"corpus.{suffix}"
+            path.parent.mkdir()
+            path.write_bytes(prefix + text.encode("utf-8"))
+            results.append(runner.invoke(main, [*argv, "--input", str(path)]))
+        plain, bom = results
+        assert plain.exit_code == 0, plain.output
+        assert (bom.exit_code, bom.stdout_bytes, bom.stderr_bytes) == (
+            plain.exit_code, plain.stdout_bytes, plain.stderr_bytes
+        )
+
+
 DUPLICATE_LABEL_MATRIX = "a,1,1,0,0\nb,1,1,0,1\na,1,1,0,0\nc,0,0,1,1\n"
 
 

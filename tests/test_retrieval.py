@@ -189,9 +189,13 @@ class TestRetrieveBySeed:
         assert all(aff == 0.0 for _, aff in got)
 
     def test_equal_affinity_from_two_tables_ranks_by_id(self):
-        """Objects 1 (n11 1, size 1) and 2 (n11 2, size 3) tie; the index meets 2 first."""
+        """Objects 1 (n11 1, size 1) and 2 (n11 2, size 3) tie; the counter meets 2 first.
+
+        Object 2's n11 sets the top counter plane, so its group is split
+        off, and its bucket scored, before object 1's.
+        """
         corpus = bits_corpus(["1100", "0100", "1110", "0001"])
-        assert corpus.feature_index[0][0] == (0, 2)
+        assert corpus.feature_index[0][:2] == (0b0101, 0b0111)
         tie = 0.31127812445913294
         assert retrieve_by_seed(corpus, 0, 2) == ((1, tie), (2, tie))
         for k in range(1, len(corpus) + 1):
@@ -232,6 +236,31 @@ def differential_corpora() -> Iterator[Corpus]:
         yield bits_corpus(["".join(map(str, row)) for row in rows])
 
 
+def wide_corpora() -> Iterator[Corpus]:
+    """Seeded corpora whose bitmaps cross int-digit and machine-word sizes.
+
+    n runs past 30, 60, 64 and 128 bits. Odd cases give every object one
+    size, of 16 to 20 features, so every seed needs five counter planes;
+    even cases draw each row's density on its own, for many sizes, and
+    blank a few rows to size 0. Duplicate rows force ties.
+    """
+    rng = random.Random(6464)
+    for case, n in enumerate((29, 30, 31, 59, 60, 61, 63, 64, 65, 130)):
+        width = rng.randint(24, 32)
+        if case % 2:
+            size = rng.randint(16, 20)
+            rows = [sorted(rng.sample(range(width), size)) for _ in range(n)]
+            rows = [[int(f in row) for f in range(width)] for row in rows]
+        else:
+            densities = [rng.uniform(0.05, 0.9) for _ in range(n)]
+            rows = [[int(rng.random() < d) for _ in range(width)] for d in densities]
+            for _ in range(rng.randint(1, 3)):
+                rows[rng.randrange(n)] = [0] * width
+        for _ in range(rng.randint(1, n // 4)):
+            rows[rng.randrange(n)] = list(rows[rng.randrange(n)])
+        yield bits_corpus(["".join(map(str, row)) for row in rows])
+
+
 class TestSeedIndexEqualsScan:
     """The index scan returns exactly what scoring every object returns."""
 
@@ -257,6 +286,22 @@ class TestSeedIndexEqualsScan:
                 seen["tied positive affinities"] += len(set(positive)) < len(positive)
                 seen["zero fill after positives"] += 0 < len(positive) < n - 2
         assert min(seen.values()) > 0 and len(seen) == 4, seen
+
+    def test_wide_corpora_match_the_scan(self):
+        seen: Counter[str] = Counter()
+        for corpus in wide_corpora():
+            n = len(corpus)
+            _, sizes, size_bitmaps = corpus.feature_index
+            for seed in range(n):
+                full = retrieve_by_seed_scan(corpus, seed, n)
+                for k in range(1, n + 6):
+                    assert retrieve_by_seed(corpus, seed, k) == full[:k], (corpus, seed, k)
+                seen["seed of 16+ features"] += sizes[seed] >= 16
+            seen["n past 64"] += n > 64
+            seen["size 0 rows"] += 0 in sizes
+            seen["one size"] += len(size_bitmaps) == 1
+            seen["eight or more sizes"] += len(size_bitmaps) >= 8
+        assert min(seen.values()) > 0 and len(seen) == 5, seen
 
 
 class TestOneTransmissionPerDistinctTable:
@@ -297,17 +342,21 @@ class TestOneTransmissionPerDistinctTable:
 
 
 class TestFeatureIndex:
-    def test_postings_and_sizes(self):
+    def test_bitmaps_sizes_and_size_bitmaps(self):
         corpus = bits_corpus(["110", "011", "000", "111"])
-        assert corpus.feature_index == (((0, 3), (0, 1, 3), (1, 3)), (2, 2, 0, 3))
+        assert corpus.feature_index == (
+            (0b1001, 0b1011, 0b1010),
+            (2, 2, 0, 3),
+            ((0, 0b0100), (2, 0b0011), (3, 0b1000)),
+        )
 
-    def test_built_once_from_the_objects_own_ids(self):
+    def test_built_once_and_cached(self):
         corpus = bits_corpus(["10", "11"] * 200)
         index = corpus.feature_index
+        evens = sum(1 << j for j in range(0, 400, 2))
+        odds = evens << 1
+        assert index == (((1 << 400) - 1, odds), (1, 2) * 200, ((1, evens), (2, odds)))
         assert corpus.feature_index is index
-        postings, _ = index
-        assert postings[0] == tuple(range(400))
-        assert all(i is corpus.objects[i].id for i in postings[0])
 
 
 def broken_corpora() -> Iterator[tuple[str, Corpus]]:
