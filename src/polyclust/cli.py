@@ -1,8 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 on success, 1 on input errors (unreadable or malformed
-files, or a corpus that breaks an invariant of `validate_corpus`), 2 on
-parameter errors (bad flags or out-of-range values).
+files, or a corpus that breaks an invariant that `Corpus` checks when
+built), 2 on parameter errors (bad flags or out-of-range values).
 """
 
 from __future__ import annotations
@@ -56,9 +56,6 @@ def _load_corpus(path: str, fmt: Optional[str], with_title_tokens: bool = False)
             )
         else:
             corpus = dataio.parse_matrix(text)
-        # every subcommand enforces the corpus invariants; warnings come from run.
-        # The check is cached on the corpus, so retrieval does not repeat it.
-        corpus.validate()
     except (ParseError, CorpusError) as exc:
         raise click.ClickException(str(exc)) from exc
     return corpus
@@ -145,10 +142,7 @@ def cluster(
     if trace:
         def on_action(field, step):  # noqa: ANN001
             click.echo(f"[trace] {description.describe_step(step, corpus)}", err=True)
-    try:
-        result = engine.run(corpus, params, on_action=on_action)
-    except CorpusError as exc:
-        raise click.ClickException(str(exc)) from exc
+    result = engine.run(corpus, params, on_action=on_action)
     for warning in result.warnings:
         click.echo(f"warning: {warning}", err=True)
     if output_format == "json":

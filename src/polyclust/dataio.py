@@ -183,7 +183,7 @@ def one_hot_encode(
     Encoding is one pass over the cells through dict indexes, keyed by
     the keyword strings themselves, so its time is linear in the corpus
     size. Each object's row is `bytes`, one byte (0 or 1) per feature.
-    The corpus is not validated here; `validate_corpus` does that.
+    The corpus checks its own invariants when built (`Corpus`).
     """
     if isinstance(source, Table):
         if with_title_tokens:

@@ -242,7 +242,6 @@ def run(
     legitimate outcome; objects are never force-assigned. The optional
     on_action callback sees the field after every accepted action.
     """
-    warnings = corpus.validate()
     aff = affinity_matrix(corpus)
     n = len(corpus)
     field = ConceptField.initial(n)
@@ -279,6 +278,6 @@ def run(
         field=field,
         validity=validity,
         trace=tuple(trace),
-        warnings=warnings,
+        warnings=corpus.warnings,
         report=report,
     )

@@ -112,7 +112,7 @@ class ObjectInstance:
     bits is stored as `bytes`, one 0/1 byte per feature, whatever the
     caller passes: a row of 0/1 values (ints, bools, `1.0`) is
     converted on construction, so every count is an int. A row with any
-    other value is kept as given, for ``validate_corpus`` to name.
+    other value is kept as given, for ``Corpus`` to name.
     """
 
     id: int
@@ -145,10 +145,48 @@ class ObjectInstance:
 
 @dataclass(frozen=True)
 class Corpus:
-    """A feature space plus the ordered objects defined on it."""
+    """A feature space plus the ordered objects defined on it, checked when built.
+
+    Construction raises CorpusError naming the first offending object, in
+    input order, and what is wrong with it: a non-dense id, a duplicate
+    label, a row of the wrong width, or a bit other than 0 or 1. A row is
+    checked whole, in C: it is valid exactly when it is `bytes` and
+    deleting every 0 and 1 byte leaves nothing. Only a row that fails
+    this check, such as one kept as given by ``ObjectInstance``, is
+    walked bit by bit, to name its first bad bit.
+    """
 
     space: FeatureSpace
     objects: tuple[ObjectInstance, ...]
+
+    def __post_init__(self) -> None:
+        objs = self.objects
+        if not objs:
+            raise CorpusError("empty corpus")
+        width = len(self.space)
+        seen_labels: dict[str, int] = {}
+        for pos, obj in enumerate(objs):
+            if obj.id != pos:
+                raise CorpusError(
+                    f"object ids must be dense input-order integers; "
+                    f"object {obj.label!r} has id {obj.id}, expected {pos}"
+                )
+            if obj.label in seen_labels:
+                raise CorpusError(
+                    f"duplicate label {obj.label!r} (objects {seen_labels[obj.label]} and {pos})"
+                )
+            seen_labels[obj.label] = pos
+            if len(obj.bits) != width:
+                raise CorpusError(
+                    f"object {obj.label!r}: expected {width} bits, got {len(obj.bits)}"
+                )
+            row = obj.bits
+            if not isinstance(row, bytes) or row.translate(None, b"\x00\x01"):
+                for f, b in enumerate(row):
+                    if b not in (0, 1):
+                        raise CorpusError(
+                            f"object {obj.label!r}: bit {f} is {b!r}, expected 0 or 1"
+                        )
 
     def __len__(self) -> int:
         return len(self.objects)
@@ -158,16 +196,24 @@ class Corpus:
         return {obj.label: obj.id for obj in self.objects}
 
     @cached_property
-    def _warnings(self) -> tuple[str, ...]:
-        return tuple(validate_corpus(self)[1])
+    def warnings(self) -> tuple[str, ...]:
+        """One warning per feature constant across two or more objects, computed when read.
 
-    def validate(self) -> tuple[str, ...]:
-        """Check the corpus once, with ``validate_corpus``; return its warnings.
-
-        Raises CorpusError on an invalid corpus. A valid corpus is checked
-        on the first call only.
+        Such features are flagged but never removed. Column sums count
+        the features each row has (``present``), so no cell is summed in
+        Python.
         """
-        return self._warnings
+        objs = self.objects
+        n = len(objs)
+        if n < 2:
+            return ()
+        first = objs[0].bits
+        column_sums = Counter(chain.from_iterable(obj.present() for obj in objs))
+        return tuple(
+            f"feature {f} constant ({label!r} is {first[f]} in every object)"
+            for f, label in enumerate(self.space.labels)
+            if column_sums[f] in (0, n)
+        )
 
     @cached_property
     def feature_index(
@@ -179,13 +225,12 @@ class Corpus:
         f; ``sizes[j]`` is object j's number of present features; and
         ``size_bitmaps`` holds one ``(size, bitmap)`` pair per distinct
         size, ascending, the bitmap setting the bits of the objects of
-        that size. Validates the corpus first, so object j has id j.
+        that size. A corpus has dense ids, so object j has id j.
         One pass over the rows, highest id first, finds each row's
         features with ``bytes.find``, as ``ObjectInstance.present`` does,
         and ORs the object's bit into their bitmaps. The bitmaps retain
         about n·F/8 bytes.
         """
-        self.validate()
         bitmaps = [0] * len(self.space)
         sizes: list[int] = []
         by_size: dict[int, int] = {}
@@ -222,59 +267,6 @@ def _is_binary(bits: Sequence[int]) -> bool:
         return _BINARY.issuperset(bits)
     except TypeError:  # an unhashable bit; the walk below names it
         return False
-
-
-def validate_corpus(corpus: Corpus) -> tuple[Corpus, list[str]]:
-    """Check corpus invariants; return the corpus and a list of warnings.
-
-    Errors (raised as CorpusError) name the first offending object, in
-    input order, and what is wrong with it: a non-dense id, a duplicate
-    label, a row of the wrong width, or a bit other than 0 or 1.
-    Features constant across all objects are flagged in the warning list
-    but never removed. A row is checked whole, in C: it is valid exactly
-    when it is `bytes` and deleting every 0 and 1 byte leaves nothing.
-    Only a row that fails this check, such as one kept as given by
-    ``ObjectInstance``, is walked bit by bit, to name its first bad bit.
-    Column sums count the features each row has (``present``), so the
-    check is linear in the cells and sums no cell in Python.
-    """
-    objs = corpus.objects
-    if not objs:
-        raise CorpusError("empty corpus")
-    width = len(corpus.space)
-    seen_labels: dict[str, int] = {}
-    for pos, obj in enumerate(objs):
-        if obj.id != pos:
-            raise CorpusError(
-                f"object ids must be dense input-order integers; "
-                f"object {obj.label!r} has id {obj.id}, expected {pos}"
-            )
-        if obj.label in seen_labels:
-            raise CorpusError(
-                f"duplicate label {obj.label!r} (objects {seen_labels[obj.label]} and {pos})"
-            )
-        seen_labels[obj.label] = pos
-        if len(obj.bits) != width:
-            raise CorpusError(
-                f"object {obj.label!r}: expected {width} bits, got {len(obj.bits)}"
-            )
-        row = obj.bits
-        if not isinstance(row, bytes) or row.translate(None, b"\x00\x01"):
-            for f, b in enumerate(row):
-                if b not in (0, 1):
-                    raise CorpusError(
-                        f"object {obj.label!r}: bit {f} is {b!r}, expected 0 or 1"
-                    )
-    warnings: list[str] = []
-    n = len(objs)
-    if n >= 2:
-        first = objs[0].bits
-        column_sums = Counter(chain.from_iterable(obj.present() for obj in objs))
-        for f in range(width):
-            if column_sums[f] in (0, n):
-                label = corpus.space.labels[f]
-                warnings.append(f"feature {f} constant ({label!r} is {first[f]} in every object)")
-    return corpus, warnings
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,10 @@ features, which is exactly the disjunction of all m-subsets written as
 conjunctions. Seed retrieval ranks the rest of the corpus by affinity
 to one chosen object.
 
-Both validate the corpus first, once per corpus, and raise the same
-CorpusError as ``engine.run``. Rule queries scan every object and
-count its query features with ``ObjectInstance.count``, the same count
-that gives a category rule its m and its false alarms. Seed queries
+Both read a corpus, which checked its invariants when it was built.
+Rule queries scan every object and count its query features with
+``ObjectInstance.count``, the same count that gives a category rule
+its m and its false alarms. Seed queries
 read the corpus's feature index (``Corpus.feature_index``), which the
 first seed query builds and the corpus caches: one int bitmap per
 feature, with bit j set when object j has it, and one bitmap per
@@ -68,7 +68,6 @@ def retrieve(corpus: Corpus, query: PolymorphousQuery) -> tuple[int, ...]:
 
     A feature index at or past the corpus width raises ValueError naming it.
     """
-    corpus.validate()
     m, features = query.m, query.feature_set
     width = len(corpus.space)
     if max(features) >= width:

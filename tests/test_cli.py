@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import json
-import sys
 from collections import Counter
 from itertools import combinations
 
 import pytest
 from click.testing import CliRunner
 
-from polyclust import datasets, model, retrieval
+from polyclust import datasets, retrieval
 from polyclust.cli import main
+from polyclust.model import Corpus
 
 TOY_CSV = """label,a,b,c
 d0,,,
@@ -332,16 +332,14 @@ class TestCorpusValidation:
         self, runner, shapes_file, duplicate_file, monkeypatch
     ):
         calls = []
-        checked = model.validate_corpus
+        check = Corpus.__post_init__
 
         def counting(corpus):
             calls.append(corpus)
-            return checked(corpus)
+            check(corpus)
 
-        # patched wherever polyclust binds it, so a direct call is counted too
-        for name, module in list(sys.modules.items()):
-            if name.startswith("polyclust") and vars(module).get("validate_corpus") is checked:
-                monkeypatch.setattr(module, "validate_corpus", counting)
+        # every corpus checks itself when built, and one cluster run builds one
+        monkeypatch.setattr(Corpus, "__post_init__", counting)
         result = runner.invoke(main, ["cluster", "--input", shapes_file])
         assert result.exit_code == 0
         assert len(calls) == 1

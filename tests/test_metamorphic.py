@@ -1,0 +1,138 @@
+"""Exact metamorphic witnesses: corpus transformations that keep every affinity.
+
+Affinity depends only on ratios of counts, so three transformations of a
+corpus leave every affinity the same float, and with it the trace, every
+cohesion and every margin:
+
+- repeating every column k times multiplies each count by k, and
+  (k·c)/(k·F) rounds to the same float as c/F; a rule's m becomes k·m;
+- permuting the columns permutes the features a rule lists;
+- complementing every bit swaps the cells of each pair's table, which
+  keeps the determinant's sign, and adds the two row-entropy terms in
+  the other order, which IEEE addition does not change.
+
+The relations need no oracle, so they are compared with ``==``. With
+k = 37, an n11 passes 255, so a seed query's counter carries into its
+ninth plane.
+"""
+
+from __future__ import annotations
+
+import random
+from typing import Callable, Iterator, Sequence
+
+import pytest
+
+from conftest import bits_corpus
+from polyclust import run
+from polyclust.engine import affinity_matrix
+from polyclust.model import Corpus, Parameters
+from polyclust.retrieval import retrieve_by_seed
+
+CASES = 60
+
+
+def planted_cases() -> Iterator[tuple[list[str], Parameters]]:
+    """Seeded corpora of noisy copies of a few prototypes, at random thresholds."""
+    rng = random.Random("metamorphic")
+    for _ in range(CASES):
+        n = rng.randint(6, 20)
+        width = rng.randint(4, 12)
+        prototypes = [[rng.random() < 0.5 for _ in range(width)] for _ in range(rng.randint(2, 4))]
+        noise = rng.uniform(0.0, 0.25)
+        rows = [
+            "".join("1" if bit != (rng.random() < noise) else "0" for bit in rng.choice(prototypes))
+            for _ in range(n)
+        ]
+        params = Parameters(rng.uniform(0.0, 0.4), rng.uniform(0.0, 0.3), rng.uniform(0.2, 1.0))
+        yield rows, params
+
+
+def transformed(rows: Sequence[str], column: Callable[[str], str]) -> Corpus:
+    return bits_corpus([column(row) for row in rows])
+
+
+def seed_answers(corpus: Corpus) -> list:
+    return [retrieve_by_seed(corpus, seed, len(corpus)) for seed in range(len(corpus))]
+
+
+def assert_same_run(got, want) -> None:
+    assert got.trace == want.trace
+    assert got.validity == want.validity
+    assert got.field.unclustered == want.field.unclustered
+    assert [(c.members, c.cohesion, c.best_member) for c in got.field.categories] == [
+        (c.members, c.cohesion, c.best_member) for c in want.field.categories
+    ]
+
+
+@pytest.mark.parametrize("k", [2, 3, 37])
+def test_repeating_every_column_keeps_affinities_and_scales_rules(k):
+    planes = 0
+    for rows, params in planted_cases():
+        corpus = bits_corpus(rows)
+        repeated = transformed(rows, lambda row: "".join(c * k for c in row))
+        assert affinity_matrix(repeated) == affinity_matrix(corpus)
+        want, got = run(corpus, params), run(repeated, params)
+        assert_same_run(got, want)
+
+        def block(features):
+            return tuple(f * k + j for f in features for j in range(k))
+
+        for old, new in zip(want.field.categories, got.field.categories):
+            if old.rule is None:
+                assert new.rule is None
+                continue
+            assert new.rule.m == k * old.rule.m
+            assert new.rule.feature_set == block(old.rule.feature_set)
+            assert new.rule.necessary == block(old.rule.necessary)
+            assert new.rule.sufficient == block(old.rule.sufficient)
+            assert new.rule.false_alarm_rate == old.rule.false_alarm_rate
+        assert seed_answers(repeated) == seed_answers(corpus)
+        shared = max(
+            sum(a == b == "1" for a, b in zip(x, y)) for i, x in enumerate(rows) for y in rows[i + 1 :]
+        )
+        planes = max(planes, (k * shared).bit_length())
+    if k == 37:
+        assert planes >= 9
+
+
+def test_permuting_the_columns_keeps_affinities_and_permutes_rules():
+    rng = random.Random("metamorphic-permute")
+    for rows, params in planted_cases():
+        order = list(range(len(rows[0])))
+        rng.shuffle(order)  # new column j holds old column order[j]
+        where = {old: new for new, old in enumerate(order)}
+        corpus = bits_corpus(rows)
+        permuted = transformed(rows, lambda row: "".join(row[f] for f in order))
+        assert affinity_matrix(permuted) == affinity_matrix(corpus)
+        want, got = run(corpus, params), run(permuted, params)
+        assert_same_run(got, want)
+
+        def moved(features):
+            return sorted(where[f] for f in features)
+
+        for old, new in zip(want.field.categories, got.field.categories):
+            if old.rule is None:
+                assert new.rule is None
+                continue
+            assert new.rule.m == old.rule.m
+            assert sorted(new.rule.feature_set) == moved(old.rule.feature_set)
+            assert list(new.rule.necessary) == moved(old.rule.necessary)
+            assert list(new.rule.sufficient) == moved(old.rule.sufficient)
+            assert new.rule.false_alarm_rate == old.rule.false_alarm_rate
+        assert seed_answers(permuted) == seed_answers(corpus)
+
+
+def test_complementing_every_bit_keeps_affinities():
+    flip = str.maketrans("01", "10")
+    formed = 0
+    for rows, params in planted_cases():
+        corpus = bits_corpus(rows)
+        complemented = transformed(rows, lambda row: row.translate(flip))
+        assert affinity_matrix(complemented) == affinity_matrix(corpus)
+        want, got = run(corpus, params), run(complemented, params)
+        assert_same_run(got, want)
+        assert seed_answers(complemented) == seed_answers(corpus)
+        formed += bool(want.field.categories)
+    # the relations are tested on fields that hold categories, not only on empty ones
+    assert formed >= CASES // 2

@@ -1,4 +1,4 @@
-"""Corpus validation, parameters, and the immutable field types."""
+"""Corpus checks, parameters, and the immutable field types."""
 
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from polyclust.model import (
     ParameterError,
     Parameters,
     PolymorphousRule,
-    validate_corpus,
 )
 
 
@@ -68,55 +67,55 @@ class TestFeatureSpace:
 
 
 class TestValidateCorpus:
+    """A corpus checks itself when built; its warnings are computed when read."""
+
     def test_minimal_corpus_ok_no_warnings(self):
         corpus = bits_corpus(["101"])
-        validated, warnings = validate_corpus(corpus)
-        assert validated is corpus
-        assert warnings == []
+        assert "warnings" not in vars(corpus)
+        assert corpus.warnings == ()
 
     def test_duplicate_label(self):
-        corpus = bits_corpus(["10", "01"], labels=["same", "same"])
         with pytest.raises(CorpusError, match="duplicate label"):
-            validate_corpus(corpus)
+            bits_corpus(["10", "01"], labels=["same", "same"])
 
     def test_constant_feature_warned_not_removed(self):
         corpus = bits_corpus(["10", "11"])
-        validated, warnings = validate_corpus(corpus)
-        assert len(validated.space) == 2
-        assert len(warnings) == 1
-        assert warnings[0].startswith("feature 0 constant")
+        assert len(corpus.space) == 2
+        assert len(corpus.warnings) == 1
+        assert corpus.warnings[0].startswith("feature 0 constant")
+        assert corpus.warnings is corpus.warnings
 
     def test_bit_length_mismatch(self):
         space = FeatureSpace((("f0", "f0"), ("f1", "f1")))
         objects = (ObjectInstance(0, "a", (1,)),)
         with pytest.raises(CorpusError, match="expected 2 bits"):
-            validate_corpus(Corpus(space, objects))
+            Corpus(space, objects)
 
     def test_empty_corpus(self):
         space = FeatureSpace((("f0", "f0"),))
         with pytest.raises(CorpusError, match="empty corpus"):
-            validate_corpus(Corpus(space, ()))
+            Corpus(space, ())
 
     def test_non_binary_bit(self):
         space = FeatureSpace((("f0", "f0"),))
         objects = (ObjectInstance(0, "a", (2,)),)
         with pytest.raises(CorpusError, match="expected 0 or 1"):
-            validate_corpus(Corpus(space, objects))
+            Corpus(space, objects)
 
     def test_bytes_row_with_a_bad_byte_is_named(self):
         space = FeatureSpace((("f0", "f0"), ("f1", "f1"), ("f2", "f2")))
         for bad in (2, 48, 255):
             good, bad_row = ObjectInstance(0, "a", b"\x01\x00\x01"), bytes((0, 1, bad))
-            corpus = Corpus(space, (good, ObjectInstance(1, "b", bad_row)))
-            outcome = _validation_outcome(validate_corpus, corpus)
+            objects = (good, ObjectInstance(1, "b", bad_row))
+            outcome = _build_outcome(space, objects)
             assert outcome == ("CorpusError", f"object 'b': bit 2 is {bad}, expected 0 or 1")
-            assert outcome == _validation_outcome(_oracle_validate, corpus)
+            assert outcome == _oracle_outcome(space, objects)
 
     def test_non_dense_ids(self):
         space = FeatureSpace((("f0", "f0"),))
         objects = (ObjectInstance(1, "a", (1,)),)
         with pytest.raises(CorpusError, match="dense"):
-            validate_corpus(Corpus(space, objects))
+            Corpus(space, objects)
 
     def test_object_lookup_by_label(self):
         corpus = bits_corpus(["10", "01"], labels=["left", "right"])
@@ -125,14 +124,48 @@ class TestValidateCorpus:
             corpus.object_by_label("missing")
 
 
-def _oracle_validate(corpus: Corpus) -> tuple[Corpus, list[str]]:
-    """The per-bit validation walk that the fast path replaced, kept as an oracle."""
-    objs = corpus.objects
-    if not objs:
+def broken_inputs():
+    """Objects no corpus can hold, each with the message that every entry point reports for them."""
+    space = FeatureSpace((("a", "a"), ("b", "b")))
+    x = ObjectInstance(0, "x", (1, 0))
+    yield (
+        "duplicate label",
+        space,
+        (x, ObjectInstance(1, "y", (0, 1)), ObjectInstance(2, "x", (1, 1))),
+        "duplicate label 'x' (objects 0 and 2)",
+    )
+    yield "short row", space, (x, ObjectInstance(1, "y", (1,))), "object 'y': expected 2 bits, got 1"
+    yield "bit of 2", space, (x, ObjectInstance(1, "y", (0, 2))), "object 'y': bit 1 is 2, expected 0 or 1"
+    yield (
+        "non-dense id",
+        space,
+        (x, ObjectInstance(2, "y", (0, 1))),
+        "object ids must be dense input-order integers; object 'y' has id 2, expected 1",
+    )
+    yield "no objects", space, (), "empty corpus"
+
+
+class TestCorpusChecksItselfWhenBuilt:
+    """No corpus of broken objects exists to reach ``engine.run``, retrieval or the CLI."""
+
+    @pytest.mark.parametrize(
+        "space, objects, message",
+        [case[1:] for case in broken_inputs()],
+        ids=[case[0] for case in broken_inputs()],
+    )
+    def test_broken_input_raises_when_built(self, space, objects, message):
+        with pytest.raises(CorpusError) as caught:
+            Corpus(space, objects)
+        assert str(caught.value) == message
+
+
+def _oracle_validate(space: FeatureSpace, objects) -> list[str]:
+    """The per-bit check walk that the fast path replaced, kept as an oracle; returns the warnings."""
+    if not objects:
         raise CorpusError("empty corpus")
-    width = len(corpus.space)
+    width = len(space)
     seen_labels: dict[str, int] = {}
-    for pos, obj in enumerate(objs):
+    for pos, obj in enumerate(objects):
         if obj.id != pos:
             raise CorpusError(
                 f"object ids must be dense input-order integers; "
@@ -149,24 +182,31 @@ def _oracle_validate(corpus: Corpus) -> tuple[Corpus, list[str]]:
             if b not in (0, 1):
                 raise CorpusError(f"object {obj.label!r}: bit {f} is {b!r}, expected 0 or 1")
     warnings: list[str] = []
-    if len(objs) >= 2:
+    if len(objects) >= 2:
         for f in range(width):
-            column = {obj.bits[f] for obj in objs}
+            column = {obj.bits[f] for obj in objects}
             if len(column) == 1:
                 value = column.pop()
                 warnings.append(
-                    f"feature {f} constant ({corpus.space.labels[f]!r} is {value} in every object)"
+                    f"feature {f} constant ({space.labels[f]!r} is {value} in every object)"
                 )
-    return corpus, warnings
+    return warnings
 
 
-def _validation_outcome(validate, corpus):
+def _build_outcome(space, objects):
+    """What ``Corpus(space, objects)`` raises, or its warnings."""
     try:
-        validated, warnings = validate(corpus)
+        corpus = Corpus(space, objects)
     except CorpusError as exc:
         return ("CorpusError", str(exc))
-    assert validated is corpus
-    return ("ok", warnings)
+    return ("ok", list(corpus.warnings))
+
+
+def _oracle_outcome(space, objects):
+    try:
+        return ("ok", _oracle_validate(space, objects))
+    except CorpusError as exc:
+        return ("CorpusError", str(exc))
 
 
 # bits that are not 0 or 1 (one unhashable), and stand-ins that compare equal to them
@@ -225,9 +265,8 @@ class TestValidateCorpusAgreesWithBitWalkOracle:
             for _ in range(rng.choice((0, 0, 1, 2, 3))):
                 _corrupt(rng, objects)
             space = FeatureSpace(tuple((f"f{f}", f"f{f}") for f in range(width)))
-            corpus = Corpus(space, tuple(objects))
-            got = _validation_outcome(validate_corpus, corpus)
-            assert got == _validation_outcome(_oracle_validate, corpus), objects
+            got = _build_outcome(space, tuple(objects))
+            assert got == _oracle_outcome(space, tuple(objects)), objects
             outcomes.add(_outcome_kind(got))
         # every kind of error, plus clean and warned corpora, was reached
         assert outcomes == {"clean", "warned", "id", "duplicate", "short", "bit"}
@@ -235,9 +274,8 @@ class TestValidateCorpusAgreesWithBitWalkOracle:
     def test_constant_column_of_equal_stand_ins_names_the_first(self):
         space = FeatureSpace((("f0", "f0"), ("f1", "f1")))
         objects = (ObjectInstance(0, "a", (True, 0)), ObjectInstance(1, "b", (1, 1.0)))
-        corpus = Corpus(space, objects)
-        assert validate_corpus(corpus) == _oracle_validate(corpus)
-        assert validate_corpus(corpus)[1] == ["feature 0 constant ('f0' is 1 in every object)"]
+        assert _build_outcome(space, objects) == _oracle_outcome(space, objects)
+        assert Corpus(space, objects).warnings == ("feature 0 constant ('f0' is 1 in every object)",)
 
     def test_first_offender_in_input_order_is_named(self):
         space = FeatureSpace((("f0", "f0"), ("f1", "f1")))
@@ -247,7 +285,7 @@ class TestValidateCorpusAgreesWithBitWalkOracle:
             ObjectInstance(2, "c", (2, 0)),
         )
         with pytest.raises(CorpusError) as caught:
-            validate_corpus(Corpus(space, objects))
+            Corpus(space, objects)
         assert str(caught.value) == "object 'b': bit 1 is [1], expected 0 or 1"
 
 

@@ -12,8 +12,9 @@ import pytest
 from conftest import bits_corpus, object_pair_table, retrieve_by_seed_scan
 from test_description import two_of_three_field
 from test_golden import random_cases
-from polyclust import datasets, information, model, run
-from polyclust.model import Corpus, CorpusError, FeatureSpace, ObjectInstance, validate_corpus
+from test_model import broken_inputs
+from polyclust import datasets, information, run
+from polyclust.model import Corpus, CorpusError, ObjectInstance
 from polyclust.retrieval import PolymorphousQuery, retrieve, retrieve_by_seed
 
 
@@ -359,44 +360,33 @@ class TestFeatureIndex:
         assert corpus.feature_index is index
 
 
-def broken_corpora() -> Iterator[tuple[str, Corpus]]:
-    space = FeatureSpace((("a", "a"), ("b", "b")))
-    x = ObjectInstance(0, "x", (1, 0))
-    yield "duplicate label", Corpus(
-        space, (x, ObjectInstance(1, "y", (0, 1)), ObjectInstance(2, "x", (1, 1)))
-    )
-    yield "short row", Corpus(space, (x, ObjectInstance(1, "y", (1,))))
-    yield "bit of 2", Corpus(space, (x, ObjectInstance(1, "y", (0, 2))))
-
-
 class TestRetrievalValidatesTheCorpus:
-    """Library retrieval enforces the invariants that engine.run enforces."""
+    """Retrieval reads only corpora that checked the invariants ``engine.run`` relies on."""
 
-    @pytest.mark.parametrize("name", [name for name, _ in broken_corpora()])
+    @pytest.mark.parametrize("name", ["duplicate label", "short row", "bit of 2"])
     def test_both_raise_the_validation_error(self, name):
-        corpus = dict(broken_corpora())[name]
-        with pytest.raises(CorpusError) as expected:
-            validate_corpus(corpus)
-        query = PolymorphousQuery.resolve(corpus, 1, ("a",))
-        for call in (lambda: retrieve(corpus, query), lambda: retrieve_by_seed(corpus, 0, 1)):
-            with pytest.raises(CorpusError) as got:
-                call()
-            assert str(got.value) == str(expected.value)
+        _, space, objects, message = next(case for case in broken_inputs() if case[0] == name)
+        with pytest.raises(CorpusError) as got:
+            Corpus(space, objects)
+        assert str(got.value) == message
 
     def test_a_valid_corpus_is_checked_once(self, monkeypatch):
         calls = []
+        check = Corpus.__post_init__
 
         def counting(corpus):
             calls.append(corpus)
-            return validate_corpus(corpus)
+            check(corpus)
 
-        monkeypatch.setattr(model, "validate_corpus", counting)
+        monkeypatch.setattr(Corpus, "__post_init__", counting)
         corpus = bits_corpus(["110", "011", "101"])
         query = PolymorphousQuery.resolve(corpus, 1, ("f0",))
         for seed in range(3):
             retrieve(corpus, query)
             retrieve_by_seed(corpus, seed, 2)
-        assert len(calls) == 1
+        # checked once, when built; the constant-feature scan is left to engine.run
+        assert calls == [corpus]
+        assert "warnings" not in vars(corpus)
 
     def test_true_and_float_bits_answer_as_int_bits(self):
         ints = bits_corpus(["1100", "1010", "0111", "1111", "0000", "1100"])
