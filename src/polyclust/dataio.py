@@ -56,9 +56,9 @@ def _csv_rows(text: str) -> list[tuple[int, list[str]]]:
     """The non-blank CSV rows as (line number, stripped cells)."""
     reader = csv.reader(io.StringIO(text))
     return [
-        (reader.line_num, [cell.strip() for cell in row])
+        (reader.line_num, cells)
         for row in reader
-        if any(cell.strip() for cell in row)
+        if any(cells := [cell.strip() for cell in row])
     ]
 
 

@@ -1,14 +1,13 @@
 """Category descriptions: m-of-n rules and the field report.
 
-All functions are pure views over a finished field. The report is a
-stable line-oriented text whose structured twin (report_record) mirrors
-it field for field; both use the original input labels throughout.
+All functions are pure views over a finished field; a rule's counts
+read the corpus's feature bitmaps. The report is a stable
+line-oriented text whose structured twin (report_record) mirrors it
+field for field; both use the original input labels throughout.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .model import Category, ConceptField, Corpus, Parameters, PolymorphousRule
@@ -18,14 +17,10 @@ if TYPE_CHECKING:
 
 
 def feature_frequencies(category: Category, corpus: Corpus) -> tuple[float, ...]:
-    """In-category frequency of every feature, as fractions of the member count.
-
-    Counts each member's ``present`` features, so only the cells that
-    hold a 1 are read.
-    """
+    """In-category frequency of every feature, as fractions of the member count."""
     k = len(category.members)
-    counts = Counter(chain.from_iterable(corpus.objects[i].present() for i in category.members))
-    return tuple(counts[f] / k for f in range(len(corpus.space)))
+    members = sum(1 << i for i in category.members)
+    return tuple((bitmap & members).bit_count() / k for bitmap in corpus.feature_index[0])
 
 
 def polymorphous_rule(
@@ -39,7 +34,9 @@ def polymorphous_rule(
     has no rule. Sufficiency and the false alarm rate are judged against
     the clustered objects only, since unclustered residue sits outside
     the field of contrast. With no clustered non-members the false
-    alarm rate is 0.
+    alarm rate is 0. ``Corpus.by_count`` groups the members and the
+    clustered outsiders by their number of rule features, which gives m
+    and the false alarms.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha {alpha} outside (0, 1]")
@@ -50,16 +47,17 @@ def polymorphous_rule(
     )
     if not feature_set:
         return None
-    objects = corpus.objects
-    m = min(objects[i].count(feature_set) for i in category.members)
+    bitmaps = corpus.feature_index[0]
+    members = sum(1 << i for i in category.members)
+    outsiders = sum(1 << j for j in set(clustered).difference(category.members))
+    groups = corpus.by_count(feature_set, members | outsiders)
+    m = min(count for count, ids in groups if ids & members)
     necessary = tuple(f for f in range(len(freqs)) if freqs[f] == 1.0)
-    outside = sorted(set(clustered) - set(category.members))
-    held_outside = set(chain.from_iterable(objects[o].present() for o in outside))
     sufficient = tuple(
-        f for f in range(len(freqs)) if freqs[f] > 0.0 and f not in held_outside
+        f for f, bitmap in enumerate(bitmaps) if bitmap & members and not bitmap & outsiders
     )
-    alarms = sum(1 for o in outside if objects[o].count(feature_set) >= m)
-    rate = alarms / len(outside) if outside else 0.0
+    alarms = sum((ids & outsiders).bit_count() for count, ids in groups if count >= m)
+    rate = alarms / outsiders.bit_count() if outsiders else 0.0
     return PolymorphousRule(m, feature_set, necessary, sufficient, rate)
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 
@@ -66,37 +65,36 @@ class FeatureSpace:
         return tuple(out)
 
     @cached_property
-    def _resolution(self) -> dict[str, int]:
-        table: dict[str, int] = {}
+    def _resolution(self) -> dict[str, list[int]]:
+        table: dict[str, list[int]] = {}
         for idx, lab in enumerate(self.labels):
-            table[lab] = idx
+            table.setdefault(lab, []).append(idx)
         for idx, (attr, value) in enumerate(self.features):
-            table.setdefault(f"{attr}={value}", idx)
+            table.setdefault(f"{attr}={value}", [idx])
         attr_counts = Counter(a for a, _ in self.features)
         for idx, (attr, _) in enumerate(self.features):
             if attr_counts[attr] == 1:
-                table.setdefault(attr, idx)
+                table.setdefault(attr, [idx])
         value_counts = Counter(v for _, v in self.features)
         for idx, (_, value) in enumerate(self.features):
             if value_counts[value] == 1:
-                table.setdefault(value, idx)
+                table.setdefault(value, [idx])
         return table
 
     @cached_property
     def _resolution_folded(self) -> dict[str, list[int]]:
         folded: dict[str, list[int]] = {}
-        for key, idx in self._resolution.items():
+        for key, idxs in self._resolution.items():
             hits = folded.setdefault(key.lower(), [])
-            if idx not in hits:
-                hits.append(idx)
+            hits.extend(idx for idx in idxs if idx not in hits)
         return folded
 
     def index_of(self, label: str) -> int:
-        """Resolve a display label, an attribute=value form, or a name unique up to case."""
-        hit = self._resolution.get(label)
-        if hit is not None:
-            return hit
-        hits = self._resolution_folded.get(label.lower(), [])
+        """Resolve a display label, an attribute=value form, or a name unique up to case.
+
+        A label that two features share, exactly or up to case, is ambiguous.
+        """
+        hits = self._resolution.get(label) or self._resolution_folded.get(label.lower(), [])
         if len(hits) > 1:
             matches = ", ".join(repr(self.labels[i]) for i in hits)
             raise CorpusError(f"ambiguous feature label {label!r}: matches {matches}")
@@ -139,7 +137,7 @@ class ObjectInstance:
         return self.bits.count(1)
 
     def count(self, features: Iterable[int]) -> int:
-        """How many of the given features the object has: the one m-of-n count."""
+        """How many of the given features the object has, as rule queries count it."""
         return sum(map(self.bits.__getitem__, features))
 
 
@@ -199,20 +197,18 @@ class Corpus:
     def warnings(self) -> tuple[str, ...]:
         """One warning per feature constant across two or more objects, computed when read.
 
-        Such features are flagged but never removed. Column sums count
-        the features each row has (``present``), so no cell is summed in
-        Python.
+        Such features are flagged but never removed. A feature is
+        constant when its bitmap in ``feature_index`` is 0 or holds every
+        object.
         """
-        objs = self.objects
-        n = len(objs)
+        n = len(self.objects)
         if n < 2:
             return ()
-        first = objs[0].bits
-        column_sums = Counter(chain.from_iterable(obj.present() for obj in objs))
+        every = (1 << n) - 1
         return tuple(
-            f"feature {f} constant ({label!r} is {first[f]} in every object)"
-            for f, label in enumerate(self.space.labels)
-            if column_sums[f] in (0, n)
+            f"feature {f} constant ({label!r} is {bitmap & 1} in every object)"
+            for f, (label, bitmap) in enumerate(zip(self.space.labels, self.feature_index[0]))
+            if bitmap in (0, every)
         )
 
     @cached_property
@@ -226,10 +222,9 @@ class Corpus:
         ``size_bitmaps`` holds one ``(size, bitmap)`` pair per distinct
         size, ascending, the bitmap setting the bits of the objects of
         that size. A corpus has dense ids, so object j has id j.
-        One pass over the rows, highest id first, finds each row's
-        features with ``bytes.find``, as ``ObjectInstance.present`` does,
-        and ORs the object's bit into their bitmaps. The bitmaps retain
-        about n·F/8 bytes.
+        One pass over the rows, highest id first, reads each row's
+        features with ``ObjectInstance.present`` and ORs the object's bit
+        into their bitmaps. The bitmaps retain about n·F/8 bytes.
         """
         bitmaps = [0] * len(self.space)
         sizes: list[int] = []
@@ -240,17 +235,48 @@ class Corpus:
         # freed ints of every width pin memory that later allocations can't reuse.
         for obj in reversed(self.objects):
             bit >>= 1
-            row = obj.bits
-            size = 0
-            f = row.find(1)
-            while f >= 0:
+            present = obj.present()
+            for f in present:
                 bitmaps[f] |= bit
-                size += 1
-                f = row.find(1, f + 1)
+            size = len(present)
             sizes.append(size)
             by_size[size] = by_size.get(size, 0) | bit
         sizes.reverse()
         return tuple(bitmaps), tuple(sizes), tuple(sorted(by_size.items()))
+
+    def by_count(self, features: Iterable[int], among: int) -> list[tuple[int, int]]:
+        """The objects of bitmap ``among`` as ``(count, ids)`` groups, highest count first.
+
+        ``count`` is how many of ``features`` an object has; each ``ids``
+        is a non-empty bitmap, and the objects with count 0 come last. A
+        bit-sliced counter (O'Neil & Quass, SIGMOD 1997) adds the
+        features' bitmaps with a ripple carry (``^`` for the sum, ``&``
+        for the carry): plane b holds bit b of every object's count, so
+        no loop runs over objects. Walking the planes from the top splits
+        ``among`` into its groups.
+        """
+        bitmaps = self.feature_index[0]
+        planes: list[int] = []  # plane b: bit b of every object's count
+        for f in features:
+            carry = bitmaps[f]
+            for b, plane in enumerate(planes):
+                planes[b] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+            else:
+                planes.append(carry)
+        groups = [(0, among)] if among else []
+        for b in reversed(range(len(planes))):
+            plane, split = planes[b], []
+            for count, ids in groups:
+                high = ids & plane
+                if high:
+                    split.append((count | 1 << b, high))
+                if high != ids:
+                    split.append((count, ids ^ high))
+            groups = split
+        return groups
 
     def object_by_label(self, label: str) -> ObjectInstance:
         idx = self._by_label.get(label)

@@ -6,24 +6,16 @@ conjunctions. Seed retrieval ranks the rest of the corpus by affinity
 to one chosen object.
 
 Both read a corpus, which checked its invariants when it was built.
-Rule queries scan every object and count its query features with
-``ObjectInstance.count``, the same count that gives a category rule
-its m and its false alarms. Seed queries
-read the corpus's feature index (``Corpus.feature_index``), which the
-first seed query builds and the corpus caches: one int bitmap per
-feature, with bit j set when object j has it, and one bitmap per
-distinct object size. A query adds the seed's feature bitmaps into a
-bit-sliced counter, one int plane per bit of n11 (O'Neil & Quass,
-"Improved query performance with variant indexes", SIGMOD 1997), so
-every object's n11 is counted by whole-int ``^`` and ``&``, with no
-loop over objects. Only objects that share a feature with the seed are
-scored, because every other object's affinity to it is exactly 0. The
-seed's size is fixed for the query, so an object's affinity, which
-``information.gated_transmission`` takes from these counts, depends
-only on its n11 and its own size. So each query splits the counter
-into one bitmap per distinct (n11, size) table, scores each once, and
-fills its answer table by table; it ranks tables, not objects. The
-seed's features are read by ``ObjectInstance.present``.
+Rule queries count each object's query features with
+``ObjectInstance.count``. Seed queries read the corpus's feature index
+(``Corpus.feature_index``, one int bitmap per feature and one per
+distinct object size), built on first use and cached, and group the
+other objects by n11, the number of the seed's features they share,
+with the corpus's bit-sliced counter (``Corpus.by_count``). The seed's
+size is fixed for the query, so an object's affinity depends only on
+its n11 and its own size: each query scores one (n11, size) table at a
+time and ranks tables, not objects. An object that shares no feature
+with the seed has affinity exactly 0 and is never scored.
 """
 
 from __future__ import annotations
@@ -83,51 +75,28 @@ def retrieve_by_seed(
 ) -> tuple[tuple[int, float], ...]:
     """Top-k non-seed objects by affinity to the seed, ties by id.
 
-    The seed's feature bitmaps are added into a bit-sliced counter:
-    plane b holds bit b of every object's n11, and each bitmap is added
-    with a ripple carry (``^`` for the sum, ``&`` for the carry).
-    Walking the planes from the top splits the co-occurring objects
-    into groups of equal n11; each group is ANDed with the size bitmaps
-    into one bucket per distinct (n11, size) table, and
-    ``gated_transmission`` is called once per non-empty bucket. The
-    other three cells of a table follow from the two sizes. Buckets of
-    equal affinity are ORed together, and the answer is filled in
-    descending affinity, each bitmap's ids taken lowest bit first. An
-    object that shares no feature has n11 = 0, so its determinant is
-    -n10*n01 <= 0 and its affinity exactly 0.0: such objects fill the
-    answer last, in id order.
+    ``Corpus.by_count`` groups the other objects by n11, highest first.
+    Each group with n11 > 0 is ANDed with the size bitmaps into one
+    bucket per distinct (n11, size) table, and ``gated_transmission`` is
+    called once per non-empty bucket. The other three cells of a table
+    follow from the two sizes. Buckets of equal affinity are ORed
+    together, and the answer is filled in descending affinity, each
+    bitmap's ids taken lowest bit first. An object that shares no
+    feature has n11 = 0, so its determinant is -n10*n01 <= 0 and its
+    affinity exactly 0.0: such objects fill the answer last, in id order.
     """
     if not 0 <= seed < len(corpus):
         raise ValueError(f"seed id {seed} outside the corpus")
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    bitmaps, sizes, size_bitmaps = corpus.feature_index
+    _, sizes, size_bitmaps = corpus.feature_index
     width = len(corpus.space)
-    planes: list[int] = []  # plane b: bit b of every object's n11
-    shared = 0  # the objects with n11 >= 1
-    for f in corpus.objects[seed].present():
-        carry = bitmaps[f]
-        shared |= carry
-        for b, plane in enumerate(planes):
-            planes[b] = plane ^ carry
-            carry &= plane
-            if not carry:
-                break
-        else:
-            planes.append(carry)
-    groups = [(0, shared & ~(1 << seed))]  # (n11, ids), split plane by plane
-    for b in reversed(range(len(planes))):
-        plane, split = planes[b], []
-        for n11, ids in groups:
-            high = ids & plane
-            if high:
-                split.append((n11 | 1 << b, high))
-            if high != ids:
-                split.append((n11, ids ^ high))
-        groups = split
     own = sizes[seed]
+    others = ((1 << len(corpus)) - 1) ^ (1 << seed)
     by_affinity: defaultdict[float, int] = defaultdict(int)
-    for n11, ids in groups:
+    for n11, ids in corpus.by_count(corpus.objects[seed].present(), others):
+        if not n11:
+            break
         for size, of_size in size_bitmaps:
             bucket = ids & of_size
             if bucket:

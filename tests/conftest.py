@@ -18,7 +18,14 @@ own ``information.affinity`` to the seed; the program scores only the
 objects that share a feature with the seed, through the corpus's
 feature index. ``misclassification`` counts a rule's false alarms and
 misses over a field, through ``ObjectInstance.count``, the count that
-rule extraction and retrieval use. ``oracle_parse_refer`` reads each
+rule queries use. ``by_count_scan`` groups objects by their number of
+given features one bit at a time, against the bit-sliced counter
+``Corpus.by_count``. ``scan_feature_frequencies``,
+``scan_polymorphous_rule`` and ``scan_warnings`` are the column scans
+that rule extraction and the constant-feature warnings used before they
+read the corpus's feature bitmaps: a ``Counter`` over each row's
+``present`` features, a set of the outsiders' features and one
+``ObjectInstance.count`` per object. ``oracle_parse_refer`` reads each
 refer line with a regular expression for field codes and two module-level
 searches for the "abstract N" label; ``dataio.parse_refer`` reads each
 line once, by its first two characters.
@@ -28,7 +35,9 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence
 
 import pytest
@@ -238,6 +247,62 @@ def misclassification(
     misses = sum(1 for i in category.members if not satisfied(i))
     assert misses == 0, f"rule misses {misses} of its own members"
     return false_alarms, misses
+
+
+def by_count_scan(corpus: Corpus, features: Sequence[int], among: int) -> list[tuple[int, int]]:
+    """``Corpus.by_count`` counted one object and one bit at a time, highest count first."""
+    groups: dict[int, int] = {}
+    for obj in corpus.objects:
+        if among >> obj.id & 1:
+            count = sum(1 for f in features if obj.bits[f] == 1)
+            groups[count] = groups.get(count, 0) | 1 << obj.id
+    return sorted(groups.items(), reverse=True)
+
+
+def scan_feature_frequencies(category: Category, corpus: Corpus) -> tuple[float, ...]:
+    """In-category frequency of every feature, from a Counter over the members' ``present``."""
+    k = len(category.members)
+    counts = Counter(chain.from_iterable(corpus.objects[i].present() for i in category.members))
+    return tuple(counts[f] / k for f in range(len(corpus.space)))
+
+
+def scan_polymorphous_rule(
+    category: Category, corpus: Corpus, alpha: float, clustered: Iterable[int]
+) -> Optional[PolymorphousRule]:
+    """The category's rule from a set of the outsiders' features and per-object counts."""
+    freqs = scan_feature_frequencies(category, corpus)
+    feature_set = tuple(
+        sorted((f for f in range(len(freqs)) if freqs[f] >= alpha),
+               key=lambda f: (-freqs[f], f))
+    )
+    if not feature_set:
+        return None
+    objects = corpus.objects
+    m = min(objects[i].count(feature_set) for i in category.members)
+    necessary = tuple(f for f in range(len(freqs)) if freqs[f] == 1.0)
+    outside = sorted(set(clustered) - set(category.members))
+    held_outside = set(chain.from_iterable(objects[o].present() for o in outside))
+    sufficient = tuple(
+        f for f in range(len(freqs)) if freqs[f] > 0.0 and f not in held_outside
+    )
+    alarms = sum(1 for o in outside if objects[o].count(feature_set) >= m)
+    rate = alarms / len(outside) if outside else 0.0
+    return PolymorphousRule(m, feature_set, necessary, sufficient, rate)
+
+
+def scan_warnings(corpus: Corpus) -> tuple[str, ...]:
+    """``Corpus.warnings`` from column sums, a Counter over every row's ``present``."""
+    objs = corpus.objects
+    n = len(objs)
+    if n < 2:
+        return ()
+    first = objs[0].bits
+    column_sums = Counter(chain.from_iterable(obj.present() for obj in objs))
+    return tuple(
+        f"feature {f} constant ({label!r} is {first[f]} in every object)"
+        for f, label in enumerate(corpus.space.labels)
+        if column_sums[f] in (0, n)
+    )
 
 
 _FIELD_LINE = re.compile(r"^%([A-Za-z])(\s+(.*))?$")

@@ -188,6 +188,16 @@ class TestQuery:
         assert result.exit_code == 2
         assert "ambiguous feature label 'visual': matches 'Visual', 'VISUAL'" in result.output
 
+    def test_display_label_two_features_share_exits_2(self, runner, tmp_path):
+        path = tmp_path / "shared.csv"
+        path.write_text("x,y,x=b,x=b=x=b\nb,b,x=b,x=b=x=b\nc,c,z,z\n", encoding="utf-8")
+        result = runner.invoke(main, ["query", "--input", str(path), "--rule", "1:x=b=x=b"])
+        assert result.exit_code == 2
+        assert "ambiguous feature label 'x=b=x=b': matches 'x=b=x=b', 'x=b=x=b'" in result.output
+        unique = runner.invoke(main, ["query", "--input", str(path), "--rule", "1:x=b=z"])
+        assert unique.exit_code == 0
+        assert unique.output == "row2\t1/1 of 1\n"
+
     def test_unknown_seed_exits_2(self, runner, toy_file):
         result = runner.invoke(
             main, ["query", "--input", toy_file, "--seed", "d99"]

@@ -3,16 +3,26 @@
 from __future__ import annotations
 
 import dataclasses
+import random
+from collections import Counter
 
 import pytest
 
-from conftest import best_member, bits_corpus, make_category, misclassification
+from conftest import (
+    best_member,
+    bits_corpus,
+    make_category,
+    misclassification,
+    scan_feature_frequencies,
+    scan_polymorphous_rule,
+)
+from polyclust import datasets
 from polyclust.description import (
     feature_frequencies,
     polymorphous_rule,
     render_report,
 )
-from polyclust.engine import field_valid
+from polyclust.engine import field_valid, run
 from polyclust.model import Category, ConceptField, Parameters, PolymorphousRule
 
 
@@ -147,6 +157,71 @@ class TestPolymorphousRule:
         cat = make_category(corpus, (0, 1))
         rule = polymorphous_rule(cat, corpus, 0.5, clustered=(0, 1, 2, 3))
         assert rule.false_alarm_rate == 0.5  # object 2 matches, object 3 does not
+
+
+class TestRuleExtractionEqualsTheColumnScan:
+    """Rules read from the feature bitmaps equal those from Counter, set and count scans."""
+
+    def test_member_with_no_rule_feature_gives_m_0(self):
+        corpus = bits_corpus(["1100", "1100", "0001", "1101"])
+        cat = Category((0, 1, 2), 0.0, 0)
+        for clustered in ((0, 1, 2), (0, 1, 2, 3)):
+            rule = polymorphous_rule(cat, corpus, 0.5, clustered)
+            assert rule == scan_polymorphous_rule(cat, corpus, 0.5, clustered)
+            assert (rule.m, rule.feature_set) == (0, (0, 1))
+        assert rule.false_alarm_rate == 1.0 and rule.sufficient == ()
+
+    def test_seeded_corpora(self):
+        rng = random.Random(1717)
+        seen: Counter[str] = Counter()
+        for case in range(300):
+            n = rng.choice((2, 3, 7, 12, 29, 31, 61, 65, 130))
+            width = rng.randint(1, 30)
+            density = rng.uniform(0.05, 0.95)
+            rows = [
+                "".join("1" if rng.random() < density else "0" for _ in range(width))
+                for _ in range(n)
+            ]
+            corpus = bits_corpus(rows)
+            members = tuple(sorted(rng.sample(range(n), rng.randint(2, n))))
+            cat = Category(members, 0.0, members[0])
+            rest = [i for i in range(n) if i not in members]
+            clustered = members + tuple(rng.sample(rest, rng.randint(0, len(rest))))
+            if case % 5 == 0:
+                clustered = members
+            alpha = rng.choice((rng.uniform(0.01, 1.0), 0.5, 1.0))
+            assert feature_frequencies(cat, corpus) == scan_feature_frequencies(cat, corpus)
+            rule = polymorphous_rule(cat, corpus, alpha, clustered)
+            want = scan_polymorphous_rule(cat, corpus, alpha, clustered)
+            assert rule == want, (rows, members, clustered, alpha)
+            seen["no rule"] += rule is None
+            if rule is not None:
+                seen["m = 0"] += rule.m == 0
+                seen["polymorphous"] += rule.polymorphous
+                seen["no clustered outsiders"] += len(clustered) == len(members)
+                seen["false alarms"] += rule.false_alarm_rate > 0.0
+                seen["no false alarms, with outsiders"] += (
+                    rule.false_alarm_rate == 0.0 and len(clustered) > len(members)
+                )
+                seen["sufficient"] += bool(rule.sufficient)
+                seen["necessary"] += bool(rule.necessary)
+        assert min(seen.values()) > 0 and len(seen) == 8, seen
+
+    def test_bundled_runs(self, shapes_corpus):
+        titled = datasets.abstracts_corpus(with_title_tokens=True)
+        rules = []
+        for corpus, params in (
+            (shapes_corpus, Parameters(0.05, 0.05)),
+            (titled, Parameters(0.01, 0.0)),
+            (titled, Parameters(0.0, 0.0, 0.3)),
+        ):
+            result = run(corpus, params)
+            clustered = result.field.clustered()
+            for cat in result.field.categories:
+                want = scan_polymorphous_rule(cat, corpus, params.rule_alpha, clustered)
+                assert cat.rule == want
+                rules.append(cat.rule)
+        assert len(rules) == 3 and all(rule.polymorphous for rule in rules)
 
 
 class TestMisclassification:

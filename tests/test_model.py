@@ -3,10 +3,19 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from typing import Iterator
 
 import pytest
 
-from conftest import bit_ones, bits_corpus, make_category, with_rows
+from conftest import (
+    bit_ones,
+    bits_corpus,
+    by_count_scan,
+    make_category,
+    scan_warnings,
+    with_rows,
+)
 from polyclust import datasets, emit_json, run
 from polyclust.dataio import one_hot_encode, parse_csv, parse_matrix
 from polyclust.model import (
@@ -59,6 +68,22 @@ class TestFeatureSpace:
         message = "ambiguous feature label 'visual': matches 'Visual', 'VISUAL'"
         with pytest.raises(CorpusError, match=message):
             space.index_of("visual")
+
+    def test_index_of_rejects_a_display_label_two_features_share(self):
+        corpus = one_hot_encode(parse_csv("x,y,x=b,x=b=x=b\nb,b,x=b,x=b=x=b\nc,c,z,z\n"))
+        space = corpus.space
+        assert space.labels[4] == space.labels[6] == "x=b=x=b"
+        assert space.labels.count("x=b=x=b") == 2
+        message = "ambiguous feature label 'x=b=x=b': matches 'x=b=x=b', 'x=b=x=b'"
+        for label in ("x=b=x=b", "X=B=X=B"):
+            with pytest.raises(CorpusError) as got:
+                space.index_of(label)
+            assert str(got.value) == message.replace("'x=b=x=b':", f"{label!r}:")
+        # every label held by one feature still resolves to it
+        for idx, label in enumerate(space.labels):
+            if idx not in (4, 6):
+                assert space.index_of(label) == idx
+        assert space.index_of("x=b=x=b=x=b=x=b") == 6
 
     def test_index_of_unknown_label(self):
         space = FeatureSpace((("shape", "circular"),))
@@ -347,6 +372,83 @@ class TestOnesEqualsThePerBitCount:
         for corpus in corpora:
             for obj in corpus.objects:
                 assert obj.ones == bit_ones(obj), obj
+
+
+def counter_corpora() -> Iterator[Corpus]:
+    """Seeded corpora whose bitmaps cross int-digit and machine-word sizes.
+
+    n runs past 30, 60, 64 and 128 bits. Every corpus's last feature is
+    held by no object, and duplicate rows force equal counts.
+    """
+    rng = random.Random(1997)
+    for n in (29, 30, 31, 59, 60, 61, 63, 64, 65, 130):
+        width = rng.randint(4, 40)
+        densities = [rng.uniform(0.05, 0.95) for _ in range(n)]
+        rows = [[int(rng.random() < d) for _ in range(width)] + [0] for d in densities]
+        for _ in range(rng.randint(1, n // 4)):
+            rows[rng.randrange(n)] = list(rows[rng.randrange(n)])
+        yield bits_corpus(["".join(map(str, row)) for row in rows])
+
+
+class TestByCountEqualsThePerBitCount:
+    """The bit-sliced counter groups objects exactly as counting each one's bits does."""
+
+    def test_random_features_and_masks(self):
+        rng = random.Random(9701)
+        seen: Counter[str] = Counter()
+        for corpus in counter_corpora():
+            n, width = len(corpus), len(corpus.space)
+            bitmaps = corpus.feature_index[0]
+            assert bitmaps[-1] == 0
+            every = (1 << n) - 1
+            for _ in range(8):
+                features = rng.sample(range(width), rng.randint(1, width))
+                for among in (0, every, rng.getrandbits(n), 1 << rng.randrange(n)):
+                    got = corpus.by_count(features, among)
+                    assert got == by_count_scan(corpus, features, among), (corpus, features, among)
+                    assert all(ids for _, ids in got)
+                    seen["empty among"] += among == 0 and got == []
+                    seen["count-0 group"] += bool(got) and got[-1][0] == 0
+                    seen["feature held by no object"] += width - 1 in features
+            assert corpus.by_count([], every) == [(0, every)]
+            assert corpus.by_count([], 0) == []
+            seen["n past 64"] += n > 64
+        assert min(seen.values()) > 0 and len(seen) == 4, seen
+
+    def test_counts_past_255_take_nine_planes(self):
+        rng = random.Random(256)
+        for n in (31, 65, 130):
+            width = 300
+            rows = [[int(rng.random() < 0.97) for _ in range(width)] for _ in range(n)]
+            rows[0] = [1] * width
+            corpus = bits_corpus(["".join(map(str, row)) for row in rows])
+            every = (1 << n) - 1
+            thirds = [f for f in range(width) if f % 3]
+            for features in (range(width), rng.sample(range(width), 280), thirds):
+                got = corpus.by_count(features, every)
+                assert got == by_count_scan(corpus, features, every), (n, features)
+            top = corpus.by_count(range(width), every)[0]
+            assert top[0] == width and top[0].bit_length() == 9 and top[1] & 1
+
+
+class TestWarningsEqualTheColumnScan:
+    """Warnings read from the feature bitmaps equal those from column sums."""
+
+    def test_one_and_two_objects(self):
+        for patterns in (["1010"], ["0000"], ["1010", "1001"], ["1111", "1111"], ["0000", "0000"]):
+            corpus = bits_corpus(patterns)
+            assert corpus.warnings == scan_warnings(corpus), patterns
+        assert bits_corpus(["1010"]).warnings == ()
+        assert bits_corpus(["1010", "1001"]).warnings == (
+            "feature 0 constant ('f0' is 1 in every object)",
+            "feature 1 constant ('f1' is 0 in every object)",
+        )
+
+    def test_counter_corpora_and_bundled_corpora(self):
+        corpora = [*counter_corpora(), datasets.shapes_corpus(), datasets.abstracts_corpus()]
+        for corpus in corpora:
+            assert corpus.warnings == scan_warnings(corpus)
+        assert sum(bool(corpus.warnings) for corpus in corpora) >= 10
 
 
 class TestParameters:
