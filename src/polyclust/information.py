@@ -9,8 +9,10 @@ object's number of features (``ObjectInstance.ones``) and the width.
 ``gated_transmission`` is the one kernel: it decides the gate on these
 counts, as ints (the determinant n11*n00 - n10*n01 equals n11*width -
 ones_a*ones_b), and computes the row, column and cell entropies
-straight from them; no table is built. ``row_entropy`` is the entropy
-of one row from its two counts, and ``info`` prints it per object.
+straight from them; no table is built. Seed queries reach it through
+``Corpus.transmission``, which scores each table once per corpus.
+``row_entropy`` is the entropy of one row from its two counts, and
+``info`` prints it per object.
 Cohesion, cross affinity and the prototype, means of these affinities
 over sets of pairs, all come from one kernel over the affinity matrix,
 ``engine._mean``.
@@ -20,8 +22,10 @@ from __future__ import annotations
 
 import math
 import operator
+from typing import TYPE_CHECKING
 
-from .model import ObjectInstance
+if TYPE_CHECKING:
+    from .model import ObjectInstance
 
 Bits = float
 

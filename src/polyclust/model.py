@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
+from . import information
+
 
 class CorpusError(ValueError):
     """Input data violates a corpus invariant."""
@@ -46,7 +48,13 @@ class FeatureSpace:
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
-        """Display label per feature: the bare value wherever that is unambiguous."""
+        """Display label per feature: the bare value wherever that is unambiguous.
+
+        Labels that collide are qualified to ``attribute=value``, again
+        until no label changes, since a qualified label can collide with
+        another. Two features whose ``attribute=value`` forms coincide keep
+        one shared label, which ``index_of`` rejects as ambiguous.
+        """
         value_counts = Counter(v for _, v in self.features)
         out: list[str] = []
         for attr, value in self.features:
@@ -56,12 +64,15 @@ class FeatureSpace:
                 out.append(value)
             else:
                 out.append(f"{attr}={value}")
-        if len(set(out)) != len(out):
+        while len(set(out)) != len(out):
             dup = {lab for lab, k in Counter(out).items() if k > 1}
-            out = [
+            qualified = [
                 f"{attr}={value}" if lab in dup else lab
                 for (attr, value), lab in zip(self.features, out)
             ]
+            if qualified == out:
+                break
+            out = qualified
         return tuple(out)
 
     @cached_property
@@ -243,6 +254,26 @@ class Corpus:
             by_size[size] = by_size.get(size, 0) | bit
         sizes.reverse()
         return tuple(bitmaps), tuple(sizes), tuple(sorted(by_size.items()))
+
+    @cached_property
+    def _transmissions(self) -> dict[tuple[int, int, int], float]:
+        return {}
+
+    def transmission(self, n11: int, ones_a: int, ones_b: int) -> float:
+        """``information.gated_transmission`` of this table at the corpus width, scored once.
+
+        The scores live in a dict on the corpus, keyed by ``(n11, smaller
+        size, larger size)``: both orders of the sizes give the same float,
+        because the kernel sums the cells sorted and IEEE addition is
+        commutative. The dict holds one float per distinct table asked
+        for and dies with the corpus; it takes no part in ``==``.
+        """
+        key = (n11, ones_a, ones_b) if ones_a <= ones_b else (n11, ones_b, ones_a)
+        memo = self._transmissions
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = information.gated_transmission(n11, ones_a, ones_b, len(self.space))
+        return value
 
     def by_count(self, features: Iterable[int], among: int) -> list[tuple[int, int]]:
         """The objects of bitmap ``among`` as ``(count, ids)`` groups, highest count first.

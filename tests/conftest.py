@@ -13,10 +13,11 @@ bit by bit, against ``ObjectInstance.ones``.
 category's statistics from its objects, one ``information.affinity``
 call per pair. The program computes the same statistics once, over the
 affinity matrix, in ``engine``; these are the references it is checked
-against. ``retrieve_by_seed_scan`` likewise ranks every object by its
-own ``information.affinity`` to the seed; the program scores only the
-objects that share a feature with the seed, through the corpus's
-feature index. ``misclassification`` counts a rule's false alarms and
+against. ``keyword_rows`` and ``keyword_corpus`` build seeded keyword
+corpora of any size straight from keyword ids. ``retrieve_by_seed_scan``
+ranks every object by its own ``information.affinity`` to the seed;
+the program scores only the objects that share a feature with the
+seed, through the corpus's feature index. ``misclassification`` counts a rule's false alarms and
 misses over a field, through ``ObjectInstance.count``, the count that
 rule queries use. ``by_count_scan`` groups objects by their number of
 given features one bit at a time, against the bit-sliced counter
@@ -34,6 +35,7 @@ line once, by its first two characters.
 from __future__ import annotations
 
 import math
+import random
 import re
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -70,6 +72,41 @@ def bits_corpus(
         for i, pattern in enumerate(patterns)
     )
     return Corpus(space, objects)
+
+
+def keyword_rows(
+    seed: int, n: int, vocab: int, sizes: tuple[int, int] = (10, 10), topics: int = 8
+) -> list[list[int]]:
+    """Seeded keyword records, as ascending lists of keyword ids below vocab.
+
+    Record i belongs to topic t = i mod topics, whose own words are the
+    30 ids from 30·t on, modulo vocab. It holds a number of distinct
+    keywords drawn from the range ``sizes``, each from its topic's words
+    with probability 0.7 and from the whole vocabulary otherwise. At n 2000, vocab 1536 and size 10 this is the
+    shape of the retrieval benchmark's corpus.
+    """
+    rng = random.Random(f"keyword-rows:{seed}:{n}:{vocab}:{sizes}:{topics}")
+    rows: list[list[int]] = []
+    for i in range(n):
+        own = [(i % topics * 30 + w) % vocab for w in range(30)]
+        size = rng.randint(*sizes)
+        chosen: set[int] = set()
+        while len(chosen) < size:
+            chosen.add(rng.choice(own) if rng.random() < 0.7 else rng.randrange(vocab))
+        rows.append(sorted(chosen))
+    return rows
+
+
+def keyword_corpus(rows: Sequence[Iterable[int]], width: int) -> Corpus:
+    """Corpus of ``width`` keyword features k0.. whose object i holds the ids in rows[i]."""
+    space = FeatureSpace(tuple((f"k{f}", f"k{f}") for f in range(width)))
+    objects = []
+    for i, row in enumerate(rows):
+        bits = bytearray(width)
+        for f in row:
+            bits[f] = 1
+        objects.append(ObjectInstance(i, f"r{i}", bytes(bits)))
+    return Corpus(space, tuple(objects))
 
 
 def with_rows(corpus: Corpus, rows: Callable[[Sequence[int]], Sequence[int]]) -> Corpus:

@@ -190,13 +190,21 @@ class TestQuery:
 
     def test_display_label_two_features_share_exits_2(self, runner, tmp_path):
         path = tmp_path / "shared.csv"
-        path.write_text("x,y,x=b,x=b=x=b\nb,b,x=b,x=b=x=b\nc,c,z,z\n", encoding="utf-8")
-        result = runner.invoke(main, ["query", "--input", str(path), "--rule", "1:x=b=x=b"])
+        path.write_text("a=b,a,x\nc,b=c,c\nd,e,b=c\n", encoding="utf-8")
+        result = runner.invoke(main, ["query", "--input", str(path), "--rule", "1:a=b=c"])
         assert result.exit_code == 2
-        assert "ambiguous feature label 'x=b=x=b': matches 'x=b=x=b', 'x=b=x=b'" in result.output
-        unique = runner.invoke(main, ["query", "--input", str(path), "--rule", "1:x=b=z"])
+        assert "ambiguous feature label 'a=b=c': matches 'a=b=c', 'a=b=c'" in result.output
+        unique = runner.invoke(main, ["query", "--input", str(path), "--rule", "1:x=b=c"])
         assert unique.exit_code == 0
         assert unique.output == "row2\t1/1 of 1\n"
+
+    def test_labels_that_collide_once_qualified_resolve_each_to_its_feature(self, runner, tmp_path):
+        path = tmp_path / "shared.csv"
+        path.write_text("x,y,x=b,x=b=x=b\nb,b,x=b,x=b=x=b\nc,c,z,z\n", encoding="utf-8")
+        for rule, row in (("1:x=b=x=b", "row1"), ("1:x=b=x=b=x=b=x=b", "row1"), ("1:x=b=z", "row2")):
+            result = runner.invoke(main, ["query", "--input", str(path), "--rule", rule])
+            assert result.exit_code == 0, result.output
+            assert result.output == f"{row}\t1/1 of 1\n"
 
     def test_unknown_seed_exits_2(self, runner, toy_file):
         result = runner.invoke(

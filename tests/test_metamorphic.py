@@ -13,7 +13,10 @@ cohesion and every margin:
 
 The relations need no oracle, so they are compared with ``==``. With
 k = 37, an n11 passes 255, so a seed query's counter carries into its
-ninth plane.
+ninth plane. They also scale past the per-bit oracles: a keyword corpus
+of the retrieval benchmark's size (n 2000) keeps every seed answer
+under a repeat and a permutation, though each repeat scales the keys of
+the corpus's table memo (``Corpus.transmission``) by k.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Callable, Iterator, Sequence
 
 import pytest
 
-from conftest import bits_corpus
+from conftest import bits_corpus, keyword_corpus, keyword_rows
 from polyclust import run
 from polyclust.engine import affinity_matrix
 from polyclust.model import Corpus, Parameters
@@ -136,3 +139,19 @@ def test_complementing_every_bit_keeps_affinities():
         formed += bool(want.field.categories)
     # the relations are tested on fields that hold categories, not only on empty ones
     assert formed >= CASES // 2
+
+
+def test_a_retrieval_sized_keyword_corpus_keeps_its_seed_answers():
+    vocab = 1536
+    rows = keyword_rows(2000, 2000, vocab, sizes=(6, 14))
+    order = list(range(vocab))
+    random.Random("metamorphic-keywords").shuffle(order)  # old column f moves to order[f]
+    corpus = keyword_corpus(rows, vocab)
+    repeated = keyword_corpus([[2 * f + j for f in row for j in (0, 1)] for row in rows], 2 * vocab)
+    permuted = keyword_corpus([[order[f] for f in row] for row in rows], vocab)
+    want = [retrieve_by_seed(corpus, seed, 20) for seed in range(len(corpus))]
+    for other in (repeated, permuted):
+        assert [retrieve_by_seed(other, seed, 20) for seed in range(len(corpus))] == want
+    tables = vars(corpus)["_transmissions"]
+    assert {(2 * n11, 2 * a, 2 * b) for n11, a, b in tables} == set(vars(repeated)["_transmissions"])
+    assert len(tables) > 100

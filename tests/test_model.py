@@ -70,20 +70,29 @@ class TestFeatureSpace:
             space.index_of("visual")
 
     def test_index_of_rejects_a_display_label_two_features_share(self):
-        corpus = one_hot_encode(parse_csv("x,y,x=b,x=b=x=b\nb,b,x=b,x=b=x=b\nc,c,z,z\n"))
+        """Features ("a=b", "c") and ("a", "b=c") have one attribute=value form, so one label."""
+        corpus = one_hot_encode(parse_csv("a=b,a,x\nc,b=c,c\nd,e,b=c\n"))
         space = corpus.space
-        assert space.labels[4] == space.labels[6] == "x=b=x=b"
-        assert space.labels.count("x=b=x=b") == 2
-        message = "ambiguous feature label 'x=b=x=b': matches 'x=b=x=b', 'x=b=x=b'"
-        for label in ("x=b=x=b", "X=B=X=B"):
+        assert space.features[0] == ("a=b", "c") and space.features[2] == ("a", "b=c")
+        assert space.labels == ("a=b=c", "d", "a=b=c", "e", "x=c", "x=b=c")
+        message = "ambiguous feature label 'a=b=c': matches 'a=b=c', 'a=b=c'"
+        for label in ("a=b=c", "A=B=C"):
             with pytest.raises(CorpusError) as got:
                 space.index_of(label)
-            assert str(got.value) == message.replace("'x=b=x=b':", f"{label!r}:")
+            assert str(got.value) == message.replace("'a=b=c':", f"{label!r}:")
         # every label held by one feature still resolves to it
         for idx, label in enumerate(space.labels):
-            if idx not in (4, 6):
+            if idx not in (0, 2):
                 assert space.index_of(label) == idx
-        assert space.index_of("x=b=x=b=x=b=x=b") == 6
+
+    def test_labels_that_collide_once_qualified_are_qualified_again(self):
+        """Qualifying ("x", "b") and ("x=b", "x=b") makes the second collide with ("x=b=x=b", "x=b=x=b")."""
+        corpus = one_hot_encode(parse_csv("x,y,x=b,x=b=x=b\nb,b,x=b,x=b=x=b\na,c,q,r\n"))
+        space = corpus.space
+        assert space.labels == ("x=b", "a", "y=b", "c", "x=b=x=b", "q", "x=b=x=b=x=b=x=b", "r")
+        for idx, (attr, value) in enumerate(space.features):
+            assert space.index_of(space.labels[idx]) == idx
+            assert space.index_of(f"{attr}={value}") == idx
 
     def test_index_of_unknown_label(self):
         space = FeatureSpace((("shape", "circular"),))

@@ -4,12 +4,18 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Iterator
 
 import pytest
 
-from conftest import bits_corpus, object_pair_table, retrieve_by_seed_scan
+from conftest import (
+    bits_corpus,
+    keyword_corpus,
+    keyword_rows,
+    object_pair_table,
+    retrieve_by_seed_scan,
+)
 from test_description import two_of_three_field
 from test_golden import random_cases
 from test_model import broken_inputs
@@ -305,18 +311,28 @@ class TestSeedIndexEqualsScan:
         assert min(seen.values()) > 0 and len(seen) == 5, seen
 
 
+def counting_transmissions(monkeypatch) -> list[tuple[int, int, int, int]]:
+    """Every ``information.gated_transmission`` call from here on, as its arguments."""
+    calls: list[tuple[int, int, int, int]] = []
+    real = information.gated_transmission
+
+    def counting(n11: int, ones_a: int, ones_b: int, width: int) -> float:
+        calls.append((n11, ones_a, ones_b, width))
+        return real(n11, ones_a, ones_b, width)
+
+    monkeypatch.setattr(information, "gated_transmission", counting)
+    return calls
+
+
 class TestOneTransmissionPerDistinctTable:
-    """A seed query gates one table per distinct (n11, size of the other object)."""
+    """A seed query gates one table per distinct (n11, size of the other object).
+
+    Each query runs on its own copy of the corpus, so it starts with an
+    empty table memo and scores every table it meets.
+    """
 
     def test_calls_equal_the_distinct_pairs_of_the_co_occurring_objects(self, monkeypatch):
-        calls: list[tuple[int, int, int, int]] = []
-        real = information.gated_transmission
-
-        def counting(n11: int, ones_a: int, ones_b: int, width: int) -> float:
-            calls.append((n11, ones_a, ones_b, width))
-            return real(n11, ones_a, ones_b, width)
-
-        monkeypatch.setattr(information, "gated_transmission", counting)
+        calls = counting_transmissions(monkeypatch)
         corpora = [
             datasets.abstracts_corpus(),
             datasets.abstracts_corpus(with_title_tokens=True),
@@ -333,13 +349,110 @@ class TestOneTransmissionPerDistinctTable:
                 }
                 pairs = {(n11, sum(rows[j])) for j, n11 in shared.items()}
                 calls.clear()
-                retrieve_by_seed(corpus, seed, len(corpus))
+                retrieve_by_seed(Corpus(corpus.space, corpus.objects), seed, len(corpus))
                 assert len(calls) == len(pairs), (corpus, seed)
                 assert {(n11, b) for n11, _, b, _ in calls} == pairs, (corpus, seed)
                 assert all(a == sum(row) and w == len(row) for _, a, _, w in calls), seed
                 seen["fewer pairs than objects"] += len(pairs) < len(shared)
                 seen["no co-occurring object"] += not shared
         assert min(seen.values()) > 0 and len(seen) == 2, seen
+
+
+def seed_tables(corpus: Corpus, seed: int) -> set[tuple[int, int, int]]:
+    """The (n11, seed size, other size) tables between the seed and each co-occurring object."""
+    rows = [obj.bits for obj in corpus.objects]
+    tables = set()
+    for j, other in enumerate(rows):
+        n11 = sum(x & y for x, y in zip(rows[seed], other))
+        if j != seed and n11:
+            tables.add((n11, sum(rows[seed]), sum(other)))
+    return tables
+
+
+class TestOneScorePerTablePerCorpus:
+    """``Corpus.transmission`` scores each distinct table once per corpus, for every seed query."""
+
+    def test_every_seed_of_a_keyword_corpus_scores_each_table_once(self, monkeypatch):
+        corpus = keyword_corpus(keyword_rows(7, 120, 200, sizes=(3, 9)), 200)
+        calls = counting_transmissions(monkeypatch)
+        tables: set[tuple[int, int, int]] = set()
+        asked = 0
+        for seed in range(len(corpus)):
+            per_seed = seed_tables(corpus, seed)
+            tables |= per_seed
+            asked += len(per_seed)
+            retrieve_by_seed(corpus, seed, 10)
+        keys = {(n11, *sorted((a, b))) for n11, a, b in tables}
+        assert len(calls) == len(keys) < len(tables)
+        assert {(n11, *sorted((a, b))) for n11, a, b, _ in calls} == keys
+        assert {w for *_, w in calls} == {200}
+        assert asked > 10 * len(keys)
+
+    def test_both_orders_of_the_sizes_give_one_float(self):
+        for width in range(1, 13):
+            for a, b in combinations(range(width + 1), 2):
+                for n11 in range(max(0, a + b - width), a + 1):
+                    forward = information.gated_transmission(n11, a, b, width)
+                    assert information.gated_transmission(n11, b, a, width) == forward
+                    corpus = bits_corpus(["0" * width])
+                    assert corpus.transmission(n11, b, a) == forward
+                    assert corpus.transmission(n11, a, b) == forward
+                    assert list(vars(corpus)["_transmissions"].items()) == [((n11, a, b), forward)]
+
+    def test_a_retrieval_benchmark_shaped_corpus_scores_at_most_one_call_per_table(self, monkeypatch):
+        """540 seed queries on n 2000, 1536 keywords, 10 a record: at most one call per table.
+
+        Every record has 10 keywords, so the tables are (n11, 10, 10) for
+        n11 1 to 10. One call per table per query would be over four calls a query.
+        """
+        corpus = keyword_corpus(keyword_rows(11, 2000, 1536), 1536)
+        calls = counting_transmissions(monkeypatch)
+        asked: list[tuple[int, int, int]] = []
+        real = Corpus.transmission
+
+        def asking(self: Corpus, n11: int, ones_a: int, ones_b: int) -> float:
+            asked.append((n11, ones_a, ones_b))
+            return real(self, n11, ones_a, ones_b)
+
+        monkeypatch.setattr(Corpus, "transmission", asking)
+        rng = random.Random(540)
+        queries = 540
+        for _ in range(queries):
+            retrieve_by_seed(corpus, rng.randrange(len(corpus)), 10)
+        assert len(asked) > 4 * queries
+        assert len(calls) == len(set(asked)) <= 10
+        assert {(n11, a, b) for n11, a, b, _ in calls} == set(asked)
+
+    def test_corpora_of_equal_sizes_and_other_widths_keep_their_own_scores(self, monkeypatch):
+        narrow = bits_corpus(["11000", "10100", "00110"])
+        wide = bits_corpus(["110000", "101000", "001100"])
+        want = {id(c): [retrieve_by_seed_scan(c, seed, 2) for seed in range(3)] for c in (narrow, wide)}
+        calls = counting_transmissions(monkeypatch)
+        for corpus in (narrow, wide, narrow, wide):
+            assert [retrieve_by_seed(corpus, seed, 2) for seed in range(3)] == want[id(corpus)]
+        assert sorted(calls) == [(1, 2, 2, 5), (1, 2, 2, 6)]
+        assert 0.0 < narrow.transmission(1, 2, 2) != wide.transmission(1, 2, 2) > 0.0
+
+    def test_a_warm_memo_answers_as_the_scan_in_any_seed_order(self):
+        for corpus in chain(differential_corpora(), wide_corpora()):
+            n = len(corpus)
+            want = [retrieve_by_seed_scan(corpus, seed, n) for seed in range(n)]
+            for order in (range(n), reversed(range(n))):
+                warm = Corpus(corpus.space, corpus.objects)
+                for seed in order:
+                    assert retrieve_by_seed(warm, seed, n) == want[seed], (corpus, seed)
+                for seed in range(n):
+                    assert retrieve_by_seed(warm, seed, n) == want[seed], (corpus, seed)
+
+    def test_a_warm_memo_leaves_the_corpus_equal_to_a_fresh_one(self):
+        corpus = keyword_corpus(keyword_rows(3, 40, 60), 60)
+        for seed in range(len(corpus)):
+            retrieve_by_seed(corpus, seed, 5)
+        assert vars(corpus)["_transmissions"]
+        fresh = keyword_corpus(keyword_rows(3, 40, 60), 60)
+        assert "_transmissions" not in vars(fresh)
+        assert corpus == fresh and hash(corpus) == hash(fresh)
+        assert repr(corpus) == repr(fresh)
 
 
 class TestFeatureIndex:
