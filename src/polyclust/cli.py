@@ -1,8 +1,8 @@
 """Command line interface.
 
-Exit codes: 0 on success, 1 on input errors (unreadable or malformed
-files, or a corpus that breaks an invariant that `Corpus` checks when
-built), 2 on parameter errors (bad flags or out-of-range values).
+Exit codes: 0 on success, 1 on input errors (unreadable, non-UTF-8 or
+malformed files, or a corpus that breaks an invariant that `Corpus` checks
+when built), 2 on parameter errors (bad flags or out-of-range values).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def _load_corpus(path: str, fmt: Optional[str], with_title_tokens: bool = False)
     try:
         # utf-8-sig drops a leading byte-order mark, which would open the first line
         text = Path(path).read_text(encoding="utf-8-sig")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise click.ClickException(f"cannot read {path}: {exc}") from exc
     try:
         if fmt == "csv":

@@ -20,7 +20,7 @@ def feature_frequencies(category: Category, corpus: Corpus) -> tuple[float, ...]
     """In-category frequency of every feature, as fractions of the member count."""
     k = len(category.members)
     members = sum(1 << i for i in category.members)
-    return tuple((bitmap & members).bit_count() / k for bitmap in corpus.feature_index[0])
+    return tuple((bitmap & members).bit_count() / k for bitmap in corpus.feature_index)
 
 
 def polymorphous_rule(
@@ -47,7 +47,7 @@ def polymorphous_rule(
     )
     if not feature_set:
         return None
-    bitmaps = corpus.feature_index[0]
+    bitmaps = corpus.feature_index
     members = sum(1 << i for i in category.members)
     outsiders = sum(1 << j for j in set(clustered).difference(category.members))
     groups = corpus.by_count(feature_set, members | outsiders)

@@ -76,42 +76,47 @@ class FeatureSpace:
         return tuple(out)
 
     @cached_property
-    def _resolution(self) -> dict[str, list[int]]:
-        table: dict[str, list[int]] = {}
-        for idx, lab in enumerate(self.labels):
-            table.setdefault(lab, []).append(idx)
-        for idx, (attr, value) in enumerate(self.features):
-            table.setdefault(f"{attr}={value}", [idx])
-        attr_counts = Counter(a for a, _ in self.features)
-        for idx, (attr, _) in enumerate(self.features):
-            if attr_counts[attr] == 1:
-                table.setdefault(attr, [idx])
-        value_counts = Counter(v for _, v in self.features)
-        for idx, (_, value) in enumerate(self.features):
-            if value_counts[value] == 1:
-                table.setdefault(value, [idx])
-        return table
+    def _names(self) -> dict[str, list[int]]:
+        """Each exact name's features: tier 1 the display labels, tier 2 the other forms.
+
+        A feature's other forms are ``attribute=value`` and its attribute
+        and value where no other feature has them; a display label hides them.
+        """
+        attrs = Counter(a for a, _ in self.features)
+        values = Counter(v for _, v in self.features)
+        forms = [(f"{a}={v}", idx) for idx, (a, v) in enumerate(self.features)]
+        forms += [(a, idx) for idx, (a, _) in enumerate(self.features) if attrs[a] == 1]
+        forms += [(v, idx) for idx, (_, v) in enumerate(self.features) if values[v] == 1]
+        return _name_table(forms) | _name_table(zip(self.labels, range(len(self))))
 
     @cached_property
-    def _resolution_folded(self) -> dict[str, list[int]]:
-        folded: dict[str, list[int]] = {}
-        for key, idxs in self._resolution.items():
-            hits = folded.setdefault(key.lower(), [])
-            hits.extend(idx for idx in idxs if idx not in hits)
-        return folded
+    def _names_folded(self) -> dict[str, list[int]]:
+        return _name_table((name.lower(), i) for name, ids in self._names.items() for i in ids)
 
     def index_of(self, label: str) -> int:
-        """Resolve a display label, an attribute=value form, or a name unique up to case.
+        """Resolve a feature name at the first tier where any feature answers to it.
 
-        A label that two features share, exactly or up to case, is ambiguous.
+        The tiers are the display labels, the other forms (``_names``) and
+        every name up to case, a table built only on an exact miss. A name
+        two features share in its tier is ambiguous; the error lists them
+        by id.
         """
-        hits = self._resolution.get(label) or self._resolution_folded.get(label.lower(), [])
+        hits = self._names.get(label) or self._names_folded.get(label.lower(), [])
         if len(hits) > 1:
-            matches = ", ".join(repr(self.labels[i]) for i in hits)
+            matches = ", ".join(repr(self.labels[i]) for i in sorted(hits))
             raise CorpusError(f"ambiguous feature label {label!r}: matches {matches}")
         if not hits:
             raise CorpusError(f"unknown feature label {label!r}")
         return hits[0]
+
+
+def _name_table(names: Iterable[tuple[str, int]]) -> dict[str, list[int]]:
+    table: dict[str, list[int]] = {}
+    for name, idx in names:
+        hits = table.setdefault(name, [])
+        if idx not in hits:
+            hits.append(idx)
+    return table
 
 
 @dataclass(frozen=True)
@@ -218,42 +223,33 @@ class Corpus:
         every = (1 << n) - 1
         return tuple(
             f"feature {f} constant ({label!r} is {bitmap & 1} in every object)"
-            for f, (label, bitmap) in enumerate(zip(self.space.labels, self.feature_index[0]))
+            for f, (label, bitmap) in enumerate(zip(self.space.labels, self.feature_index))
             if bitmap in (0, every)
         )
 
     @cached_property
-    def feature_index(
-        self,
-    ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]:
-        """``(bitmaps, sizes, size_bitmaps)``, built on first use and cached.
+    def feature_index(self) -> tuple[int, ...]:
+        """One int bitmap per feature, with bit j set when object j (id j) has it; cached.
 
-        ``bitmaps[f]`` is an int with bit j set when object j has feature
-        f; ``sizes[j]`` is object j's number of present features; and
-        ``size_bitmaps`` holds one ``(size, bitmap)`` pair per distinct
-        size, ascending, the bitmap setting the bits of the objects of
-        that size. A corpus has dense ids, so object j has id j.
-        One pass over the rows, highest id first, reads each row's
-        features with ``ObjectInstance.present`` and ORs the object's bit
-        into their bitmaps. The bitmaps retain about n·F/8 bytes.
+        One pass over the rows, highest id first, ORs each object's bit
+        into the bitmaps of its ``present`` features. They retain about
+        n·F/8 bytes.
         """
         bitmaps = [0] * len(self.space)
-        sizes: list[int] = []
-        by_size: dict[int, int] = {}
         bit = 1 << len(self.objects)
         # Highest id first: a bitmap has its final width from its first OR,
         # so each OR frees an int of the size it allocates. In id order, the
         # freed ints of every width pin memory that later allocations can't reuse.
         for obj in reversed(self.objects):
             bit >>= 1
-            present = obj.present()
-            for f in present:
+            for f in obj.present():
                 bitmaps[f] |= bit
-            size = len(present)
-            sizes.append(size)
-            by_size[size] = by_size.get(size, 0) | bit
-        sizes.reverse()
-        return tuple(bitmaps), tuple(sizes), tuple(sorted(by_size.items()))
+        return tuple(bitmaps)
+
+    @cached_property
+    def size_groups(self) -> tuple[tuple[int, int], ...]:
+        """``by_count`` of every feature among every object: ``(size, ids)`` groups; cached."""
+        return tuple(self.by_count(range(len(self.space)), (1 << len(self.objects)) - 1))
 
     @cached_property
     def _transmissions(self) -> dict[tuple[int, int, int], float]:
@@ -286,7 +282,7 @@ class Corpus:
         no loop runs over objects. Walking the planes from the top splits
         ``among`` into its groups.
         """
-        bitmaps = self.feature_index[0]
+        bitmaps = self.feature_index
         planes: list[int] = []  # plane b: bit b of every object's count
         for f in features:
             carry = bitmaps[f]

@@ -6,21 +6,22 @@ conjunctions. Seed retrieval ranks the rest of the corpus by affinity
 to one chosen object.
 
 Both read a corpus, which checked its invariants when it was built.
-Rule queries count each object's query features with
-``ObjectInstance.count``. Seed queries read the corpus's feature index
-(``Corpus.feature_index``, one int bitmap per feature and one per
-distinct object size), built on first use and cached, and group the
-other objects by n11, the number of the seed's features they share,
-with the corpus's bit-sliced counter (``Corpus.by_count``). The seed's
-size is fixed for the query, so an object's affinity depends only on
-its n11 and its own size: each query ranks tables, not objects, and
-looks each table's score up in the corpus (``Corpus.transmission``),
-which scores each distinct table once per corpus. Replaying the
-benchmark's query order, 97% of a pass's lookups hit on the one
-``retrieval-mix`` corpus (99.8% over ten passes), 90% on each fresh
-``keyword-sparse`` corpus and 42% on each ``planted-grow`` one. An
-object that shares no feature with the seed has affinity exactly 0 and
-is never scored.
+Rule queries name features as ``FeatureSpace.index_of`` resolves them
+(display labels, then the other forms, then up to case) and count each
+object's query features with ``ObjectInstance.count``. Seed queries read
+the corpus's feature index (``Corpus.feature_index``, one int bitmap per
+feature), built on first use and cached, and group the other objects by
+n11, the number of the seed's features they share, with the corpus's
+bit-sliced counter (``Corpus.by_count``). The seed's size is fixed for
+the query, so an object's affinity depends only on its n11 and its own
+size, whose groups the same counter gives (``Corpus.size_groups``): each
+query ranks tables, not objects, and looks each table's score up in the
+corpus (``Corpus.transmission``), which scores each distinct table once
+per corpus. Replaying the benchmark's query order, 97% of a pass's
+lookups hit on the one ``retrieval-mix`` corpus (99.8% over ten passes),
+90% on each fresh ``keyword-sparse`` corpus and 42% on each
+``planted-grow`` one. An object that shares no feature with the seed has
+affinity exactly 0 and is never scored.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def retrieve_by_seed(
     """Top-k non-seed objects by affinity to the seed, ties by id.
 
     ``Corpus.by_count`` groups the other objects by n11, highest first.
-    Each group with n11 > 0 is ANDed with the size bitmaps into one
+    Each group with n11 > 0 is ANDed with ``Corpus.size_groups`` into one
     bucket per distinct (n11, size) table, and each non-empty bucket's
     score comes from ``Corpus.transmission``, which calls
     ``gated_transmission`` the first time the corpus meets the table.
@@ -95,14 +96,14 @@ def retrieve_by_seed(
         raise ValueError(f"seed id {seed} outside the corpus")
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    _, sizes, size_bitmaps = corpus.feature_index
-    own = sizes[seed]
+    present = corpus.objects[seed].present()
+    own, size_groups = len(present), corpus.size_groups
     others = ((1 << len(corpus)) - 1) ^ (1 << seed)
     by_affinity: defaultdict[float, int] = defaultdict(int)
-    for n11, ids in corpus.by_count(corpus.objects[seed].present(), others):
+    for n11, ids in corpus.by_count(present, others):
         if not n11:
             break
-        for size, of_size in size_bitmaps:
+        for size, of_size in size_groups:
             bucket = ids & of_size
             if bucket:
                 aff = corpus.transmission(n11, own, size)

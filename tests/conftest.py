@@ -21,7 +21,9 @@ seed, through the corpus's feature index. ``misclassification`` counts a rule's 
 misses over a field, through ``ObjectInstance.count``, the count that
 rule queries use. ``by_count_scan`` groups objects by their number of
 given features one bit at a time, against the bit-sliced counter
-``Corpus.by_count``. ``scan_feature_frequencies``,
+``Corpus.by_count``. ``resolve_name_scan`` resolves a feature name by
+scanning every feature's names tier by tier, against the one name table
+of ``FeatureSpace.index_of``. ``scan_feature_frequencies``,
 ``scan_polymorphous_rule`` and ``scan_warnings`` are the column scans
 that rule extraction and the constant-feature warnings used before they
 read the corpus's feature bitmaps: a ``Counter`` over each row's
@@ -294,6 +296,41 @@ def by_count_scan(corpus: Corpus, features: Sequence[int], among: int) -> list[t
             count = sum(1 for f in features if obj.bits[f] == 1)
             groups[count] = groups.get(count, 0) | 1 << obj.id
     return sorted(groups.items(), reverse=True)
+
+
+def resolve_name_scan(space: FeatureSpace, name: str) -> tuple[int, list[int]]:
+    """``(tier, ids)``: the features that answer to ``name`` at the first tier where any does.
+
+    Tier 1 is the display labels; tier 2 each feature's other forms
+    (``attribute=value``, its attribute or its value when no other
+    feature has it) that are not display labels; tier 3 every name of
+    the first two, up to case. Each tier is a scan over the features, in
+    id order. A name no feature answers to gives ``(0, [])``.
+    """
+    labels = set(space.labels)
+
+    def forms(idx: int) -> set[str]:
+        attr, value = space.features[idx]
+        out = {f"{attr}={value}"}
+        if sum(a == attr for a, _ in space.features) == 1:
+            out.add(attr)
+        if sum(v == value for _, v in space.features) == 1:
+            out.add(value)
+        return out - labels
+
+    def folded(idx: int) -> set[str]:
+        return {n.lower() for n in forms(idx) | {space.labels[idx]}}
+
+    tiers: tuple[Callable[[int], bool], ...] = (
+        lambda idx: name == space.labels[idx],
+        lambda idx: name in forms(idx),
+        lambda idx: name.lower() in folded(idx),
+    )
+    for tier, answers in enumerate(tiers, 1):
+        hits = [idx for idx in range(len(space)) if answers(idx)]
+        if hits:
+            return tier, hits
+    return 0, []
 
 
 def scan_feature_frequencies(category: Category, corpus: Corpus) -> tuple[float, ...]:

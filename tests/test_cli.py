@@ -206,6 +206,17 @@ class TestQuery:
             assert result.exit_code == 0, result.output
             assert result.output == f"{row}\t1/1 of 1\n"
 
+    def test_attribute_value_form_two_features_share_exits_2(self, runner, tmp_path):
+        path = tmp_path / "forms.csv"
+        path.write_text("x,x=b\nb=c,c\nd,e\n", encoding="utf-8")
+        result = runner.invoke(main, ["query", "--input", str(path), "--rule", "1:x=b=c"])
+        assert result.exit_code == 2
+        assert "ambiguous feature label 'x=b=c': matches 'b=c', 'c'" in result.output
+        assert "\t" not in result.output
+        for rule, row in (("1:b=c", "row1"), ("1:c", "row1"), ("1:x=b=e", "row2")):
+            result = runner.invoke(main, ["query", "--input", str(path), "--rule", rule])
+            assert (result.exit_code, result.output) == (0, f"{row}\t1/1 of 1\n"), rule
+
     def test_unknown_seed_exits_2(self, runner, toy_file):
         result = runner.invoke(
             main, ["query", "--input", toy_file, "--seed", "d99"]
@@ -364,6 +375,21 @@ class TestCorpusValidation:
         failed = runner.invoke(main, ["cluster", "--input", duplicate_file])
         assert failed.exit_code == 1
         assert "duplicate label 'a' (objects 0 and 2)" in failed.output
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["cluster"], ["query", "--rule", "1:a"], ["query", "--seed", "x"], ["info"]],
+        ids=["cluster", "query-rule", "query-seed", "info"],
+    )
+    def test_input_that_is_not_utf8_exits_1(self, runner, tmp_path, argv):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"a,b\n\xff\xfe,1\n")
+        result = runner.invoke(main, [*argv, "--input", str(path)])
+        assert result.exit_code == 1
+        assert result.output == (
+            f"Error: cannot read {path}: 'utf-8' codec can't decode byte 0xff "
+            "in position 4: invalid start byte\n"
+        )
 
     def test_constant_feature_warned_once_by_cluster_only(self, runner, tmp_path):
         path = tmp_path / "const.matrix"

@@ -13,6 +13,7 @@ from conftest import (
     bits_corpus,
     by_count_scan,
     make_category,
+    resolve_name_scan,
     scan_warnings,
     with_rows,
 )
@@ -98,6 +99,64 @@ class TestFeatureSpace:
         space = FeatureSpace((("shape", "circular"),))
         with pytest.raises(CorpusError, match="nope"):
             space.index_of("nope")
+
+    def test_an_attribute_value_form_two_features_share_is_ambiguous(self):
+        """("x", "b=c") and ("x=b", "c") both have the form x=b=c, though their labels differ."""
+        corpus = one_hot_encode(parse_csv("x,x=b\nb=c,c\nd,e\n"))
+        space = corpus.space
+        assert space.features == (("x", "b=c"), ("x", "d"), ("x=b", "c"), ("x=b", "e"))
+        assert space.labels == ("b=c", "d", "c", "e")
+        for name in ("x=b=c", "X=B=C"):
+            with pytest.raises(CorpusError) as got:
+                space.index_of(name)
+            assert str(got.value) == f"ambiguous feature label {name!r}: matches 'b=c', 'c'"
+        for idx, label in enumerate(space.labels):
+            assert space.index_of(label) == idx
+        assert space.index_of("x=d") == 1 and space.index_of("x=b=e") == 3
+
+    def test_index_of_equals_the_name_oracle(self):
+        """Seeded spaces whose names hold "=", shared values and case variants.
+
+        Every third space also holds two features whose ``attribute=value``
+        forms coincide, with values that other features share, so that
+        two features can share a display label.
+        """
+        rng = random.Random(1919)
+        pieces = ("a", "b", "A", "c")
+
+        def name() -> str:
+            return "=".join(rng.choice(pieces) for _ in range(rng.choice((1, 1, 2, 3))))
+
+        seen: Counter[str] = Counter()
+        for case in range(400):
+            features = [(name(), name()) for _ in range(rng.randint(1, 8))]
+            if case % 3 == 0:
+                p, q, r, s = name(), name(), name(), name()
+                features += [(f"{p}={q}", r), (p, f"{q}={r}"), (s, r), (s, f"{q}={r}")]
+            space = FeatureSpace(tuple(dict.fromkeys(features)))
+            names = {"zzz", *space.labels, *(name() for _ in range(8))}
+            for attr, value in space.features:
+                names.update((attr, value, f"{attr}={value}"))
+            names.update([n.upper() for n in names] + [n.swapcase() for n in names])
+            for label, k in Counter(space.labels).items():
+                if k == 1:
+                    assert space.index_of(label) == space.labels.index(label), (space, label)
+            for query in sorted(names):
+                tier, want = resolve_name_scan(space, query)
+                if len(want) == 1:
+                    assert space.index_of(query) == want[0], (space, query)
+                    seen[f"tier {tier} resolves"] += 1
+                    continue
+                with pytest.raises(CorpusError) as got:
+                    space.index_of(query)
+                if want:
+                    matches = ", ".join(repr(space.labels[i]) for i in want)
+                    assert str(got.value) == f"ambiguous feature label {query!r}: matches {matches}"
+                    seen[f"tier {tier} ambiguous"] += 1
+                else:
+                    assert str(got.value) == f"unknown feature label {query!r}"
+                    seen["unknown"] += 1
+        assert len(seen) == 7 and min(seen.values()) > 0, seen
 
 
 class TestValidateCorpus:
@@ -407,7 +466,7 @@ class TestByCountEqualsThePerBitCount:
         seen: Counter[str] = Counter()
         for corpus in counter_corpora():
             n, width = len(corpus), len(corpus.space)
-            bitmaps = corpus.feature_index[0]
+            bitmaps = corpus.feature_index
             assert bitmaps[-1] == 0
             every = (1 << n) - 1
             for _ in range(8):

@@ -10,6 +10,7 @@ from typing import Iterator
 import pytest
 
 from conftest import (
+    bit_ones,
     bits_corpus,
     keyword_corpus,
     keyword_rows,
@@ -202,7 +203,7 @@ class TestRetrieveBySeed:
         off, and its bucket scored, before object 1's.
         """
         corpus = bits_corpus(["1100", "0100", "1110", "0001"])
-        assert corpus.feature_index[0][:2] == (0b0101, 0b0111)
+        assert corpus.feature_index[:2] == (0b0101, 0b0111)
         tie = 0.31127812445913294
         assert retrieve_by_seed(corpus, 0, 2) == ((1, tie), (2, tie))
         for k in range(1, len(corpus) + 1):
@@ -298,7 +299,7 @@ class TestSeedIndexEqualsScan:
         seen: Counter[str] = Counter()
         for corpus in wide_corpora():
             n = len(corpus)
-            _, sizes, size_bitmaps = corpus.feature_index
+            sizes = [obj.ones for obj in corpus.objects]
             for seed in range(n):
                 full = retrieve_by_seed_scan(corpus, seed, n)
                 for k in range(1, n + 6):
@@ -306,8 +307,8 @@ class TestSeedIndexEqualsScan:
                 seen["seed of 16+ features"] += sizes[seed] >= 16
             seen["n past 64"] += n > 64
             seen["size 0 rows"] += 0 in sizes
-            seen["one size"] += len(size_bitmaps) == 1
-            seen["eight or more sizes"] += len(size_bitmaps) >= 8
+            seen["one size"] += len(corpus.size_groups) == 1
+            seen["eight or more sizes"] += len(corpus.size_groups) >= 8
         assert min(seen.values()) > 0 and len(seen) == 5, seen
 
 
@@ -458,19 +459,36 @@ class TestOneScorePerTablePerCorpus:
 class TestFeatureIndex:
     def test_bitmaps_sizes_and_size_bitmaps(self):
         corpus = bits_corpus(["110", "011", "000", "111"])
-        assert corpus.feature_index == (
-            (0b1001, 0b1011, 0b1010),
-            (2, 2, 0, 3),
-            ((0, 0b0100), (2, 0b0011), (3, 0b1000)),
-        )
+        assert corpus.feature_index == (0b1001, 0b1011, 0b1010)
+        assert tuple(obj.ones for obj in corpus.objects) == (2, 2, 0, 3)
+        assert corpus.size_groups == ((3, 0b1000), (2, 0b0011), (0, 0b0100))
 
     def test_built_once_and_cached(self):
         corpus = bits_corpus(["10", "11"] * 200)
-        index = corpus.feature_index
+        index, groups = corpus.feature_index, corpus.size_groups
         evens = sum(1 << j for j in range(0, 400, 2))
         odds = evens << 1
-        assert index == (((1 << 400) - 1, odds), (1, 2) * 200, ((1, evens), (2, odds)))
-        assert corpus.feature_index is index
+        assert index == ((1 << 400) - 1, odds)
+        assert tuple(obj.ones for obj in corpus.objects) == (1, 2) * 200
+        assert groups == ((2, odds), (1, evens))
+        assert corpus.feature_index is index and corpus.size_groups is groups
+
+    def test_size_groups_equal_a_per_row_scan(self):
+        """n across int-digit and word sizes, with rows of size 0 and of every feature."""
+        rng = random.Random(3165)
+        for n in (29, 30, 31, 59, 60, 61, 63, 64, 65, 129, 130, 131):
+            width = rng.randint(1, 40)
+            rows = [[int(rng.random() < rng.random()) for _ in range(width)] for _ in range(n)]
+            for _ in range(rng.randint(1, 3)):
+                rows[rng.randrange(n)] = [0] * width
+            rows[rng.randrange(n)] = [1] * width
+            corpus = bits_corpus(["".join(map(str, row)) for row in rows])
+            by_size: dict[int, int] = {}
+            for obj in corpus.objects:
+                size = bit_ones(obj)
+                by_size[size] = by_size.get(size, 0) | 1 << obj.id
+            assert corpus.size_groups == tuple(sorted(by_size.items(), reverse=True)), n
+            assert corpus.size_groups[-1][0] == 0 and corpus.size_groups[0][0] == width
 
 
 class TestRetrievalValidatesTheCorpus:
