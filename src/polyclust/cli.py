@@ -172,7 +172,7 @@ def query(
     """Retrieve objects by an m-of-n rule or by affinity to a seed object."""
     if (rule_spec is None) == (seed_label is None):
         raise click.UsageError("pass exactly one of --rule or --seed")
-    corpus = _load_corpus(path, fmt, with_title_tokens)
+    # flags are checked before the input is read; labels need the corpus
     if rule_spec is not None:
         m_text, sep, label_text = rule_spec.partition(":")
         labels = [part.strip() for part in label_text.split(",") if part.strip()]
@@ -182,6 +182,10 @@ def query(
             m = int(m_text)
         except ValueError:
             raise click.UsageError(f"--rule count {m_text!r} is not an integer") from None
+    elif top < 1:
+        raise click.UsageError(f"--top must be positive, got {top}")
+    corpus = _load_corpus(path, fmt, with_title_tokens)
+    if rule_spec is not None:
         try:
             q = retrieval.PolymorphousQuery.resolve(corpus, m, labels)
         except (ValueError, CorpusError) as exc:
@@ -190,8 +194,6 @@ def query(
             obj = corpus.objects[obj_id]
             click.echo(f"{obj.label}\t{obj.count(q.feature_set)}/{q.m} of {len(q.feature_set)}")
         return
-    if top < 1:
-        raise click.UsageError(f"--top must be positive, got {top}")
     try:
         seed = corpus.object_by_label(seed_label).id
     except CorpusError as exc:

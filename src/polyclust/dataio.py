@@ -177,13 +177,14 @@ def one_hot_encode(
     """Expand a parsed table or refer records into a binary corpus.
 
     Features appear in first-appearance order (attribute by attribute
-    for tables; record by record for keywords). Features present in all
-    objects or in none carry zero transmission and are dropped with a
-    logged notice. A keyword named twice in one record counts once.
-    Encoding is one pass over the cells through dict indexes, keyed by
-    the keyword strings themselves, so its time is linear in the corpus
-    size. Each object's row is `bytes`, one byte (0 or 1) per feature.
-    The corpus checks its own invariants when built (`Corpus`).
+    for tables; record by record for keywords). Only values and keywords
+    that some object holds become features; those that every object
+    holds carry zero transmission and are dropped with a logged notice.
+    A keyword named twice in one record counts once. Encoding is one
+    pass over the cells through dict indexes, keyed by the keyword
+    strings themselves, so its time is linear in the corpus size. Each
+    object's row is `bytes`, one byte (0 or 1) per feature. The corpus
+    checks its own invariants when built (`Corpus`).
     """
     if isinstance(source, Table):
         if with_title_tokens:
@@ -237,22 +238,20 @@ def _assemble(
     counts: Sequence[int],
     labels: Sequence[str],
 ) -> Corpus:
-    """Drop the constant features, then set each object's bits from its own keys.
+    """Drop the features every object holds, then set each object's bits from its own keys.
 
-    ordered[i] is held by counts[i] objects, none holding a key twice.
-    feature(key) names a key's feature; names are built after the drop,
-    for the kept keys and the drop notices only.
+    ordered[i] is held by counts[i] objects: at least one, since the keys
+    are read from the objects, and none holding a key twice. feature(key)
+    names a key's feature; names are built after the drop, for the kept
+    keys and the drop notices only.
     """
     n = len(per_object)
     kept: list[int] = []
     for k, count in enumerate(counts):
-        if 0 < count < n:
+        if count < n:
             kept.append(k)
         else:
-            reason = "all" if count == n else "none"
-            logger.info(
-                "dropping feature %r: present in %s of %d objects", feature(ordered[k]), reason, n
-            )
+            logger.info("dropping feature %r: present in all of %d objects", feature(ordered[k]), n)
     if not kept:
         raise CorpusError("no informative features: every feature is constant")
     space = FeatureSpace(tuple(feature(ordered[k]) for k in kept))

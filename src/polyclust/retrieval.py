@@ -20,15 +20,15 @@ corpus (``Corpus.transmission``), which scores each distinct table once
 per corpus. Replaying the benchmark's query order, 97% of a pass's
 lookups hit on the one ``retrieval-mix`` corpus (99.8% over ten passes),
 90% on each fresh ``keyword-sparse`` corpus and 42% on each
-``planted-grow`` one. An object that shares no feature with the seed has
-affinity exactly 0 and is never scored.
+``planted-grow`` one. Every object of affinity exactly 0 lands in one
+0.0 bucket, which the same descending walk reads last; one that shares
+no feature with the seed is never scored.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable
 
 from .model import Corpus
@@ -82,15 +82,13 @@ def retrieve_by_seed(
 
     ``Corpus.by_count`` groups the other objects by n11, highest first.
     Each group with n11 > 0 is ANDed with ``Corpus.size_groups`` into one
-    bucket per distinct (n11, size) table, and each non-empty bucket's
-    score comes from ``Corpus.transmission``, which calls
-    ``gated_transmission`` the first time the corpus meets the table.
-    The other three cells of a table follow from the two sizes. Buckets
-    of equal affinity are ORed together, and the answer is filled in
-    descending affinity, each bitmap's ids taken lowest bit first. An
-    object that shares no feature has n11 = 0, so its determinant is
-    -n10*n01 <= 0 and its affinity exactly 0.0: such objects fill the
-    answer last, in id order.
+    bucket per distinct (n11, size) table, scored by
+    ``Corpus.transmission``; the other three cells of a table follow from
+    the two sizes. An object that shares no feature has n11 = 0, so its
+    determinant is -n10*n01 <= 0: the count-0 group joins the 0.0 bucket
+    unscored, as do the tables the gate sends to 0.0. Buckets of equal
+    affinity are ORed together, and one walk reads the answer: buckets
+    in descending affinity, each lowest id first, until k are taken.
     """
     if not 0 <= seed < len(corpus):
         raise ValueError(f"seed id {seed} outside the corpus")
@@ -102,13 +100,12 @@ def retrieve_by_seed(
     by_affinity: defaultdict[float, int] = defaultdict(int)
     for n11, ids in corpus.by_count(present, others):
         if not n11:
+            by_affinity[0.0] |= ids
             break
         for size, of_size in size_groups:
             bucket = ids & of_size
             if bucket:
-                aff = corpus.transmission(n11, own, size)
-                if aff > 0.0:
-                    by_affinity[aff] |= bucket
+                by_affinity[corpus.transmission(n11, own, size)] |= bucket
     top: list[tuple[int, float]] = []
     for aff in sorted(by_affinity, reverse=True):
         ids = by_affinity[aff]
@@ -117,8 +114,5 @@ def retrieve_by_seed(
             top.append((low.bit_length() - 1, aff))
             ids ^= low
         if len(top) == k:
-            return tuple(top)
-    taken = {j for j, _ in top}
-    zeros = (j for j in range(len(corpus)) if j != seed and j not in taken)
-    top.extend((j, 0.0) for j in islice(zeros, k - len(top)))
+            break
     return tuple(top)

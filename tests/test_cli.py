@@ -174,6 +174,32 @@ class TestQuery:
         result = runner.invoke(main, ["query", "--input", toy_file, "--rule", "x:a,b"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--seed", "a", "--top", "0"], "--top must be positive, got 0"),
+            (["--seed", "a", "--top", "-3"], "--top must be positive, got -3"),
+            (["--rule", "abc"], '--rule must look like "2:labelA,labelB,labelC"'),
+            (["--rule", "2:"], '--rule must look like "2:labelA,labelB,labelC"'),
+            (["--rule", "2: , ,"], '--rule must look like "2:labelA,labelB,labelC"'),
+            (["--rule", "x:a,b"], "--rule count 'x' is not an integer"),
+            (["--rule", "1.5:a,b"], "--rule count '1.5' is not an integer"),
+        ],
+    )
+    def test_bad_flag_exits_2_before_the_input_is_read(self, runner, argv, message):
+        result = runner.invoke(main, ["query", "--input", "missing.csv", *argv])
+        assert result.exit_code == 2
+        assert message in result.output
+        assert "cannot read" not in result.output
+
+    @pytest.mark.parametrize(
+        "argv", [["--seed", "a", "--top", "3"], ["--rule", "1:a"], ["--rule", "1:a", "--top", "0"]]
+    )
+    def test_good_flags_with_a_missing_input_exit_1(self, runner, argv):
+        result = runner.invoke(main, ["query", "--input", "missing.csv", *argv])
+        assert result.exit_code == 1
+        assert "cannot read missing.csv" in result.output
+
     def test_unknown_label_exits_2_and_names_it(self, runner, toy_file):
         result = runner.invoke(
             main, ["query", "--input", toy_file, "--rule", "1:zebra"]

@@ -17,11 +17,20 @@ ninth plane. They also scale past the per-bit oracles: a keyword corpus
 of the retrieval benchmark's size (n 2000) keeps every seed answer
 under a repeat and a permutation, though each repeat scales the keys of
 the corpus's table memo (``Corpus.transmission``) by k.
+
+Rule queries keep their answers too, on the planted cases and on that
+keyword corpus: after a k-fold repeat, a query naming one copy of each
+feature matches the same objects with the same counts, and one naming
+all k copies at m·k scales every count by k, which keeps the order; a
+permuted query counts the same bits. At k = 37 an all-copies query
+admits only objects that hold at least 37 of its features, so a counter
+that saturates early fails.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from typing import Callable, Iterator, Sequence
 
 import pytest
@@ -30,7 +39,7 @@ from conftest import bits_corpus, keyword_corpus, keyword_rows
 from polyclust import run
 from polyclust.engine import affinity_matrix
 from polyclust.model import Corpus, Parameters
-from polyclust.retrieval import retrieve_by_seed
+from polyclust.retrieval import PolymorphousQuery, retrieve, retrieve_by_seed
 
 CASES = 60
 
@@ -155,3 +164,68 @@ def test_a_retrieval_sized_keyword_corpus_keeps_its_seed_answers():
     tables = vars(corpus)["_transmissions"]
     assert {(2 * n11, 2 * a, 2 * b) for n11, a, b in tables} == set(vars(repeated)["_transmissions"])
     assert len(tables) > 100
+
+
+def rule_corpora() -> Iterator[tuple[list[list[int]], int]]:
+    """The planted cases and the retrieval-sized keyword corpus, as feature-id rows and a width."""
+    for rows, _ in planted_cases():
+        yield [[f for f, bit in enumerate(row) if bit == "1"] for row in rows], len(rows[0])
+    yield keyword_rows(2000, 2000, 1536, sizes=(6, 14)), 1536
+
+
+def rule_queries(rows: Sequence[Sequence[int]], rng: random.Random) -> list[PolymorphousQuery]:
+    """40 queries, each naming 1 to 5 features of one object, with m uniform in [1, size]."""
+    out = []
+    while len(out) < 40:
+        pool = rows[rng.randrange(len(rows))]
+        if pool:
+            size = rng.randint(1, min(5, len(pool)))
+            out.append(PolymorphousQuery(rng.randint(1, size), tuple(rng.sample(pool, size))))
+    return out
+
+
+def rule_answers(corpus: Corpus, queries: Sequence[PolymorphousQuery], seen: Counter) -> list:
+    answers = [retrieve(corpus, q) for q in queries]
+    for q, answer in zip(queries, answers):
+        counts = {corpus.objects[i].count(q.feature_set) for i in answer}
+        seen["m > 1"] += q.m > 1
+        seen["two or more counts in one answer"] += len(counts) > 1
+    return answers
+
+
+@pytest.mark.parametrize("k", [2, 37])
+def test_repeating_every_column_keeps_rule_answers(k):
+    """One copy of each feature at m, or all k copies at k·m: the same ids in the same order."""
+    rng = random.Random(f"metamorphic-rules:{k}")
+    seen: Counter[str] = Counter()
+    for rows, width in rule_corpora():
+        queries = rule_queries(rows, rng)
+        want = rule_answers(keyword_corpus(rows, width), queries, seen)
+        repeated_rows = [[k * f + j for f in row for j in range(k)] for row in rows]
+        repeated = keyword_corpus(repeated_rows, k * width)
+        one_copy = [
+            PolymorphousQuery(q.m, tuple(k * f + rng.randrange(k) for f in q.feature_set))
+            for q in queries
+        ]
+        every_copy = [
+            PolymorphousQuery(k * q.m, tuple(k * f + j for f in q.feature_set for j in range(k)))
+            for q in queries
+        ]
+        assert [retrieve(repeated, q) for q in one_copy] == want
+        assert [retrieve(repeated, q) for q in every_copy] == want
+        seen["answers of 100+ ids"] += max(map(len, want)) >= 100
+    assert min(seen.values()) > 0 and len(seen) == 3, seen
+
+
+def test_permuting_the_columns_keeps_rule_answers():
+    rng = random.Random("metamorphic-rules-permute")
+    seen: Counter[str] = Counter()
+    for rows, width in rule_corpora():
+        order = list(range(width))
+        rng.shuffle(order)  # old column f moves to order[f]
+        queries = rule_queries(rows, rng)
+        want = rule_answers(keyword_corpus(rows, width), queries, seen)
+        permuted = keyword_corpus([[order[f] for f in row] for row in rows], width)
+        moved = [PolymorphousQuery(q.m, tuple(order[f] for f in q.feature_set)) for q in queries]
+        assert [retrieve(permuted, q) for q in moved] == want
+    assert min(seen.values()) > 0 and len(seen) == 2, seen

@@ -216,6 +216,42 @@ class TestRetrieveBySeed:
         assert top_label == "abstract 6"
         assert got[0][1] > 0.0
 
+    # seed 110000 and its duplicate 110000, object 2; 101111 and 100111
+    # share f0 but are gated, as n11·F = 6 <= 2·5 and 2·4; 001100 and
+    # 000011 share nothing
+    @pytest.mark.parametrize(
+        "rows, kinds",
+        [
+            (["110000", "101111", "110000", "001100", "100111"], ["gated", "disjoint", "gated"]),
+            (["110000", "001100", "110000", "101111", "000011"], ["disjoint", "gated", "disjoint"]),
+        ],
+        ids=["gated-first", "disjoint-first"],
+    )
+    def test_gated_and_disjoint_zeros_share_one_id_order(self, rows, kinds):
+        corpus = bits_corpus(rows)
+        zeros = [1, 3, 4]
+        tables = {j: object_pair_table(corpus.objects[0], corpus.objects[j]) for j in zeros}
+        assert ["gated" if tables[j].n11 else "disjoint" for j in zeros] == kinds
+        assert all(tables[j].determinant <= 0 for j in zeros)
+        positive = information.affinity(corpus.objects[0], corpus.objects[2])
+        assert positive > 0.0
+        want = ((2, positive),) + tuple((j, 0.0) for j in zeros)
+        for k in range(1, len(corpus) + 3):
+            assert retrieve_by_seed(corpus, 0, k) == want[:k], k
+
+    def test_k_past_the_others_lists_each_once(self):
+        corpus = bits_corpus(["110000", "001100", "110000", "101111", "000011", "010000"])
+        n = len(corpus)
+        for seed in range(n):
+            for k in (n - 1, n, n + 4):
+                got = retrieve_by_seed(corpus, seed, k)
+                assert sorted(j for j, _ in got) == [j for j in range(n) if j != seed]
+                assert got == retrieve_by_seed_scan(corpus, seed, k)
+
+    def test_a_one_object_corpus_answers_empty(self):
+        corpus = bits_corpus(["10"])
+        assert retrieve_by_seed(corpus, 0, 1) == retrieve_by_seed(corpus, 0, 5) == ()
+
     def test_seed_and_k_validation(self):
         corpus = bits_corpus(["10", "01"])
         with pytest.raises(ValueError, match="seed"):
