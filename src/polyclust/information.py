@@ -9,9 +9,15 @@ object's number of features (``ObjectInstance.ones``) and the width.
 ``gated_transmission`` is the one kernel: it decides the gate on these
 counts, as ints (the determinant n11*n00 - n10*n01 equals n11*width -
 ones_a*ones_b), and computes the row, column and cell entropies
-straight from them; no table is built. Seed queries reach it through
-``Corpus.transmission``, which scores each table once per corpus.
-``row_entropy`` is the entropy of one row from its two counts, and
+straight from them; no 2x2 table is built. Every entropy term is
+``p·log2 p`` of a count c over the width, so both read it from
+``plogp(width)``, one tuple per width with ``plogp[0] = 0.0``, built on
+first use and kept for the process (about 32 bytes a count). No
+logarithm is taken per call, and each term is the float that
+``(c / width) * log2(c / width)`` computed in place gives. Seed queries
+reach the kernel through ``Corpus.transmission``, which scores each
+table once per corpus. ``row_entropy`` is the entropy of one row from
+its two counts, ``(0.0 - plogp[ones]) - plogp[width - ones]``, and
 ``info`` prints it per object.
 Cohesion, cross affinity and the prototype, means of these affinities
 over sets of pairs, all come from one kernel over the affinity matrix,
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import math
 import operator
+from functools import cache
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -30,12 +37,16 @@ if TYPE_CHECKING:
 Bits = float
 
 
+@cache
+def plogp(width: int) -> tuple[float, ...]:
+    """``(c / width) * log2(c / width)`` for c = 0..width, 0 log 0 taken as 0.0; one per width."""
+    return (0.0, *((c / width) * math.log2(c / width) for c in range(1, width + 1)))
+
+
 def row_entropy(ones: int, width: int) -> Bits:
     """Entropy of a row with ones of its width features set, 0 log 0 taken as 0."""
-    p = ones / width
-    q = (width - ones) / width
-    h = 0.0 - (p * math.log2(p) if ones else 0.0)
-    return h - (q * math.log2(q) if ones < width else 0.0)
+    t = plogp(width)
+    return (0.0 - t[ones]) - t[width - ones]
 
 
 def gated_transmission(n11: int, ones_a: int, ones_b: int, width: int) -> Bits:
@@ -43,16 +54,16 @@ def gated_transmission(n11: int, ones_a: int, ones_b: int, width: int) -> Bits:
 
     The gate is exact integer arithmetic on the counts. The cell entropy
     sums its terms in ascending count order, so transposed tables round
-    identically. The result is clamped at 0 against rounding.
+    identically; an empty cell subtracts ``plogp[0] = 0.0``, which leaves
+    the sum as it is. The row entropies are ``row_entropy``'s, written
+    out. The result is clamped at 0 against rounding.
     """
     if n11 * width <= ones_a * ones_b:
         return 0.0
-    h = 0.0
-    for c in sorted((n11, ones_a - n11, ones_b - n11, width - ones_a - ones_b + n11)):
-        if c:
-            p = c / width
-            h -= p * math.log2(p)
-    value = row_entropy(ones_a, width) + row_entropy(ones_b, width) - h
+    t = plogp(width)
+    c0, c1, c2, c3 = sorted((n11, ones_a - n11, ones_b - n11, width - ones_a - ones_b + n11))
+    h = 0.0 - t[c0] - t[c1] - t[c2] - t[c3]
+    value = ((0.0 - t[ones_a]) - t[width - ones_a]) + ((0.0 - t[ones_b]) - t[width - ones_b]) - h
     return value if value > 0.0 else 0.0
 
 

@@ -99,11 +99,16 @@ class FeatureSpace:
         The tiers are the display labels, the other forms (``_names``) and
         every name up to case, a table built only on an exact miss. A name
         two features share in its tier is ambiguous; the error lists them
-        by id.
+        by id, each by its display label, or by its ``(attribute, value)``
+        pair where another match has the same label.
         """
         hits = self._names.get(label) or self._names_folded.get(label.lower(), [])
         if len(hits) > 1:
-            matches = ", ".join(repr(self.labels[i]) for i in sorted(hits))
+            labels = Counter(self.labels[i] for i in hits)
+            matches = ", ".join(
+                repr(self.features[i] if labels[self.labels[i]] > 1 else self.labels[i])
+                for i in sorted(hits)
+            )
             raise CorpusError(f"ambiguous feature label {label!r}: matches {matches}")
         if not hits:
             raise CorpusError(f"unknown feature label {label!r}")
@@ -268,7 +273,8 @@ class Corpus:
         memo = self._transmissions
         value = memo.get(key)
         if value is None:
-            value = memo[key] = information.gated_transmission(n11, ones_a, ones_b, len(self.space))
+            width = len(self.space.features)
+            value = memo[key] = information.gated_transmission(n11, ones_a, ones_b, width)
         return value
 
     def by_count(self, features: Iterable[int], among: int) -> list[tuple[int, int]]:

@@ -20,9 +20,13 @@ corpus (``Corpus.transmission``), which scores each distinct table once
 per corpus. Replaying the benchmark's query order, 97% of a pass's
 lookups hit on the one ``retrieval-mix`` corpus (99.8% over ten passes),
 90% on each fresh ``keyword-sparse`` corpus and 42% on each
-``planted-grow`` one. Every object of affinity exactly 0 lands in one
-0.0 bucket, which the same descending walk reads last; one that shares
-no feature with the seed is never scored.
+``planted-grow`` one; a miss reads its entropy terms from the kernel's
+per-width table (``information.plogp``). Each n11 group stops meeting
+size groups once all its objects have a bucket. Every object of
+affinity exactly 0 is ORed into one local bitmap, the count-0 group
+unscored and each gated table's bucket after its lookup; that bitmap
+joins the buckets once, as the 0.0 bucket, which the same descending
+walk reads last.
 """
 
 from __future__ import annotations
@@ -84,11 +88,13 @@ def retrieve_by_seed(
     Each group with n11 > 0 is ANDed with ``Corpus.size_groups`` into one
     bucket per distinct (n11, size) table, scored by
     ``Corpus.transmission``; the other three cells of a table follow from
-    the two sizes. An object that shares no feature has n11 = 0, so its
-    determinant is -n10*n01 <= 0: the count-0 group joins the 0.0 bucket
-    unscored, as do the tables the gate sends to 0.0. Buckets of equal
-    affinity are ORed together, and one walk reads the answer: buckets
-    in descending affinity, each lowest id first, until k are taken.
+    the two sizes. A group leaves the size groups as soon as every one
+    of its objects is in a bucket. An object that shares no feature has
+    n11 = 0, so its determinant is -n10*n01 <= 0: the count-0 group joins
+    the 0.0 bucket unscored, as do the tables the gate sends to 0.0.
+    Buckets of equal affinity are ORed together, and one walk reads the
+    answer: buckets in descending affinity, each lowest id first, until
+    k are taken.
     """
     if not 0 <= seed < len(corpus):
         raise ValueError(f"seed id {seed} outside the corpus")
@@ -98,14 +104,24 @@ def retrieve_by_seed(
     own, size_groups = len(present), corpus.size_groups
     others = ((1 << len(corpus)) - 1) ^ (1 << seed)
     by_affinity: defaultdict[float, int] = defaultdict(int)
+    zero = 0  # every object of affinity 0.0
     for n11, ids in corpus.by_count(present, others):
         if not n11:
-            by_affinity[0.0] |= ids
+            zero |= ids
             break
         for size, of_size in size_groups:
             bucket = ids & of_size
             if bucket:
-                by_affinity[corpus.transmission(n11, own, size)] |= bucket
+                aff = corpus.transmission(n11, own, size)
+                if aff:
+                    by_affinity[aff] |= bucket
+                else:
+                    zero |= bucket
+                ids ^= bucket
+                if not ids:
+                    break
+    if zero:
+        by_affinity[0.0] = zero
     top: list[tuple[int, float]] = []
     for aff in sorted(by_affinity, reverse=True):
         ids = by_affinity[aff]

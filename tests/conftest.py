@@ -31,7 +31,10 @@ read the corpus's feature bitmaps: a ``Counter`` over each row's
 ``ObjectInstance.count`` per object. ``oracle_parse_refer`` reads each
 refer line with a regular expression for field codes and two module-level
 searches for the "abstract N" label; ``dataio.parse_refer`` reads each
-line once, by its first two characters.
+line once, by its first two characters. ``reference_run`` is the
+engine's contract followed literally: every candidate of every hunt
+tested, with exact ``Fraction`` means and lowest-id ties, against the
+float sums and the key-order skip of ``engine.run``.
 """
 
 from __future__ import annotations
@@ -41,7 +44,9 @@ import random
 import re
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import chain
+from fractions import Fraction
+from functools import cache
+from itertools import chain, combinations, product
 from typing import Callable, Iterable, Optional, Sequence
 
 import pytest
@@ -55,6 +60,7 @@ from polyclust.model import (
     Corpus,
     FeatureSpace,
     ObjectInstance,
+    Parameters,
     PolymorphousRule,
 )
 
@@ -446,6 +452,87 @@ def make_category(corpus: Corpus, ids: Sequence[int]) -> Category:
     w = cohesion([corpus.objects[i] for i in members])
     provisional = Category(members, w, members[0])
     return Category(members, w, best_member(provisional, corpus))
+
+
+Step = tuple[str, tuple[int, ...], int, Optional[tuple[int, int]]]
+
+
+def reference_run(
+    corpus: Corpus, params: Parameters
+) -> tuple[tuple[Step, ...], tuple[tuple[tuple[int, ...], int], ...], tuple[int, ...]]:
+    """The engine's contract, literally: ``(trace, categories, unclustered)``.
+
+    Each pass tries object hunting, then protoseed hunting, then merging,
+    and takes the first that finds a valid action; a pass where all three
+    find none ends the run. Object hunting and merging test every
+    candidate, with no key-order skip, and keep the best valid key.
+    Protoseed hunting's one candidate is the highest-affinity unclustered
+    pair, lowest pair on ties, if positive. Cohesion, cross affinity and
+    the prototype are exact ``Fraction`` means of the float affinities
+    (each float is a dyadic rational), and the thresholds compare as
+    ``Fraction(threshold)``. Ties go to the lowest object id, then the
+    lowest category index. A step is ``(action, objects, category,
+    merged_from)`` and a category ``(members, best member)``, as
+    ``engine.run`` reports them.
+    """
+    objs = corpus.objects
+    aff = [[Fraction(affinity(a, b)) if a is not b else Fraction(0) for b in objs] for a in objs]
+    min_cohesion = Fraction(params.cohesion_threshold)
+    min_margin = Fraction(params.distinctiveness_threshold)
+
+    def mean(pairs: Iterable[tuple[int, int]]) -> Fraction:
+        values = [aff[i][j] for i, j in pairs]
+        return sum(values, Fraction(0)) / len(values)
+
+    @cache
+    def exact_cohesion(members: tuple[int, ...]) -> Fraction:
+        return mean(combinations(members, 2))
+
+    @cache
+    def cross(left: tuple[int, ...], right: tuple[int, ...]) -> Fraction:
+        return mean(product(left, right))
+
+    def valid(sets: list[tuple[int, ...]]) -> bool:
+        cohesions = [exact_cohesion(s) for s in sets]
+        return all(w >= min_cohesion for w in cohesions) and all(
+            min(cohesions[i], cohesions[j]) - cross(sets[i], sets[j]) >= min_margin
+            for i, j in combinations(range(len(sets)), 2)
+        )
+
+    def prototype(members: tuple[int, ...]) -> int:
+        return min(members, key=lambda i: (-mean((i, j) for j in members if j != i), i))
+
+    categories: list[tuple[int, ...]] = []
+    unclustered = list(range(len(objs)))
+    trace: list[Step] = []
+    while True:
+        best = None  # (key, next categories, step) of the best valid candidate
+        for idx, cat in enumerate(categories):
+            for obj in unclustered:
+                grown = tuple(sorted(cat + (obj,)))
+                sets = categories[:idx] + [grown] + categories[idx + 1 :]
+                key = (-exact_cohesion(grown), obj, idx)
+                if valid(sets) and (best is None or key < best[0]):
+                    best = key, sets, ("add", (obj,), idx, None)
+        if best is None:
+            pairs = combinations(unclustered, 2)
+            pair = min(pairs, key=lambda p: (-aff[p[0]][p[1]], p), default=None)
+            if pair is not None and aff[pair[0]][pair[1]] > 0 and valid(categories + [pair]):
+                best = None, categories + [pair], ("protoseed", pair, len(categories), None)
+        if best is None:
+            for i, j in combinations(range(len(categories)), 2):
+                merged = tuple(sorted(categories[i] + categories[j]))
+                rest = [c for k, c in enumerate(categories) if k not in (i, j)]
+                sets = rest[:i] + [merged] + rest[i:]
+                key = (-exact_cohesion(merged), i, j)
+                if valid(sets) and (best is None or key < best[0]):
+                    best = key, sets, ("merge", (), i, (i, j))
+        if best is None:
+            break
+        _, categories, step = best
+        trace.append(step)
+        unclustered = [u for u in unclustered if u not in step[1]]
+    return tuple(trace), tuple((c, prototype(c)) for c in categories), tuple(unclustered)
 
 
 @pytest.fixture(scope="session")

@@ -219,7 +219,7 @@ class TestQuery:
         path.write_text("a=b,a,x\nc,b=c,c\nd,e,b=c\n", encoding="utf-8")
         result = runner.invoke(main, ["query", "--input", str(path), "--rule", "1:a=b=c"])
         assert result.exit_code == 2
-        assert "ambiguous feature label 'a=b=c': matches 'a=b=c', 'a=b=c'" in result.output
+        assert "ambiguous feature label 'a=b=c': matches ('a=b', 'c'), ('a', 'b=c')" in result.output
         unique = runner.invoke(main, ["query", "--input", str(path), "--rule", "1:x=b=c"])
         assert unique.exit_code == 0
         assert unique.output == "row2\t1/1 of 1\n"

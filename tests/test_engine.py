@@ -5,12 +5,21 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from conftest import best_member, bits_corpus, cohesion, distinctiveness, make_category, margin
-from polyclust import description, emit_json, engine, information, run
+from conftest import (
+    best_member,
+    bits_corpus,
+    cohesion,
+    distinctiveness,
+    make_category,
+    margin,
+    reference_run,
+)
+from polyclust import datasets, description, emit_json, engine, information, run
 from polyclust.engine import (
     _cross_pairs,
     _mean,
@@ -22,6 +31,7 @@ from polyclust.engine import (
     protoseed_hunt,
 )
 from polyclust.model import ConceptField, Corpus, Parameters
+from test_golden import random_cases
 
 
 def field_of(corpus: Corpus, categories=(), unclustered=None) -> ConceptField:
@@ -419,6 +429,89 @@ class TestMatrixKernelEqualsObjectOracles:
                 assert category.cohesion == cohesion(objs)
                 assert category.best_member == best_member(category, corpus)
         assert categories_checked >= 300
+
+
+class TestReferenceEngine:
+    """``engine.run`` against ``reference_run``, the contract with exact means.
+
+    The cases are the 400 golden random corpora (n <= 14), the bundled
+    corpora at the README's thresholds and the two runs that end in a
+    merge. The engine adds float affinities, so where two candidates
+    tie exactly it can rank them by rounding. ``DIFFERENT`` holds each
+    case where it does, with the first decision that differs as
+    ((what, index), reference, engine): a trace step, or the prototype
+    of a category. Each is an exact tie, which the reference gives to
+    the lower id.
+    """
+
+    DIFFERENT = {
+        "random-033": (("prototype", 0), 9, 11),
+        "random-049": (("step", 6), ("add", (2,), 0, None), ("add", (9,), 0, None)),
+        "random-067": (("step", 4), ("add", (2,), 0, None), ("add", (12,), 0, None)),
+        "random-084": (("prototype", 0), 1, 9),
+        "random-141": (("step", 3), ("add", (6,), 0, None), ("add", (11,), 0, None)),
+        "random-215": (("step", 6), ("add", (3,), 0, None), ("add", (10,), 0, None)),
+        "random-258": (("step", 3), ("add", (2,), 0, None), ("add", (6,), 0, None)),
+        "random-364": (("step", 4), ("add", (5,), 0, None), ("add", (10,), 0, None)),
+    }
+
+    @staticmethod
+    def cases():
+        yield from random_cases()
+        yield "shapes", datasets.shapes_corpus(), Parameters(0.05, 0.05)
+        yield "abstracts", datasets.abstracts_corpus(), Parameters(0.005, 0.05)
+        for k, (rows, params, *_) in enumerate(TestRunAcceptsAMerge.CASES):
+            yield f"merge-{k}", bits_corpus(rows), params
+
+    @staticmethod
+    def first_difference(want, got):
+        for k, (ours, theirs) in enumerate(zip(want[0], got[0])):
+            if ours != theirs:
+                return ("step", k), ours, theirs
+        for k, ((members, ours), (same, theirs)) in enumerate(zip(want[1], got[1])):
+            if ours != theirs and members == same:
+                return ("prototype", k), ours, theirs
+        return None
+
+    def test_the_engine_equals_the_reference_but_on_exact_ties(self):
+        seen: Counter[str] = Counter()
+        for name, corpus, params in self.cases():
+            result = run(corpus, params)
+            got = (
+                tuple((s.action, s.objects, s.category, s.merged_from) for s in result.trace),
+                tuple((c.members, c.best_member) for c in result.field.categories),
+                result.field.unclustered,
+            )
+            want = reference_run(corpus, params)
+            if name in self.DIFFERENT:
+                assert self.first_difference(want, got) == self.DIFFERENT[name], name
+                seen["different"] += 1
+                continue
+            assert got == want, name
+            seen[f"{len(want[1])} categories"] += 1
+            seen.update(step[0] for step in want[0])
+        assert seen["different"] == len(self.DIFFERENT)
+        cases = sum(seen[f"{k} categories"] for k in range(5)) + seen["different"]
+        assert cases == 404 and seen["0 categories"] and seen["2 categories"], seen
+        assert min(seen[action] for action in ("protoseed", "add", "merge")) > 0, seen
+
+    def test_each_difference_is_an_exact_tie(self):
+        """The two candidates of each decision that differs reach one exact sum over their pairs."""
+        for name, corpus, params in random_cases():
+            if name not in self.DIFFERENT:
+                continue
+            (what, k), ours, theirs = self.DIFFERENT[name]
+            aff = affinity_matrix(corpus)
+            trace, categories, _ = reference_run(corpus, params)
+            if what == "prototype":
+                members = categories[k][0]
+                candidates = [[(i, j) for j in members if j != i] for i in (ours, theirs)]
+            else:
+                assert {step[2] for step in trace[:k]} == {0}, name  # one category so far
+                members = tuple(sorted(i for step in trace[:k] for i in step[1]))
+                candidates = [combinations(sorted(members + step[1]), 2) for step in (ours, theirs)]
+            sums = [sum((Fraction(aff[i][j]) for i, j in pairs), Fraction(0)) for pairs in candidates]
+            assert sums[0] == sums[1], name
 
 
 class TestMeanKernelOrder:

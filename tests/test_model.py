@@ -76,7 +76,7 @@ class TestFeatureSpace:
         space = corpus.space
         assert space.features[0] == ("a=b", "c") and space.features[2] == ("a", "b=c")
         assert space.labels == ("a=b=c", "d", "a=b=c", "e", "x=c", "x=b=c")
-        message = "ambiguous feature label 'a=b=c': matches 'a=b=c', 'a=b=c'"
+        message = "ambiguous feature label 'a=b=c': matches ('a=b', 'c'), ('a', 'b=c')"
         for label in ("a=b=c", "A=B=C"):
             with pytest.raises(CorpusError) as got:
                 space.index_of(label)
@@ -150,13 +150,18 @@ class TestFeatureSpace:
                 with pytest.raises(CorpusError) as got:
                     space.index_of(query)
                 if want:
-                    matches = ", ".join(repr(space.labels[i]) for i in want)
+                    shared = [space.labels[i] for i in want]
+                    matches = ", ".join(
+                        repr(space.features[i] if shared.count(space.labels[i]) > 1 else space.labels[i])
+                        for i in want
+                    )
+                    seen["shared label"] += len(set(shared)) < len(shared)
                     assert str(got.value) == f"ambiguous feature label {query!r}: matches {matches}"
                     seen[f"tier {tier} ambiguous"] += 1
                 else:
                     assert str(got.value) == f"unknown feature label {query!r}"
                     seen["unknown"] += 1
-        assert len(seen) == 7 and min(seen.values()) > 0, seen
+        assert len(seen) == 8 and min(seen.values()) > 0, seen
 
 
 class TestValidateCorpus:
