@@ -8,14 +8,19 @@ loop takes the first of object hunting, protoseed hunting and merging
 that finds an action: object hunting falls back to protoseed hunting,
 protoseed hunting to merging, and a merging impasse ends the run.
 
-A hunt only generates keyed candidates; one acceptance rule, in
-``_accept``, tests them. It keeps the best-keyed candidate that leaves
-the whole field valid (each cohesion at or above its threshold, each
-cohesion-minus-cross-affinity margin at or above its threshold), so the
-final field always satisfies both thresholds. Each hunt returns the
-next field with the step that made it, or None at an impasse. Every
-cohesion, cross affinity and prototype comes from one kernel, ``_mean``,
-which averages the matrix over the pairs its caller passes, in order.
+A hunt only generates keyed candidates, each keyed first by the negated
+cohesion of the category it makes; one acceptance rule, in ``_accept``,
+tests them. It keeps the best-keyed candidate that leaves the whole
+field valid (each cohesion at or above its threshold, each
+cohesion-minus-cross-affinity margin at or above its threshold, both
+compared in ``_holds`` alone), so the final field always satisfies both
+thresholds. The verdict is taken from what a candidate changes: the
+field as it stands is scored once per hunt, and a candidate adds only
+its own cohesion, read from its key, and its cross affinity to each
+category it keeps. Each hunt returns the next field with the step that
+made it, or None at an impasse. Every cohesion, cross affinity and
+prototype comes from one kernel, ``_mean``, which averages the matrix
+over the pairs its caller passes, in order.
 
 Selection is greedy and fully deterministic: keys rank candidates by
 the cohesion they reach, ties broken by lowest object id and then
@@ -109,18 +114,29 @@ def _new_category(ids: Sequence[int], aff: AffinityMatrix) -> Category:
     return Category(members, w, best)
 
 
+def _holds(cohesion: float, others: Iterable[tuple[float, float]], params: Parameters) -> bool:
+    """The field rule for one category, the only place the thresholds are compared.
+
+    Its cohesion must reach the cohesion threshold, and its margin against
+    each ``(cohesion, cross affinity)`` of others, the smaller of the two
+    cohesions minus the cross affinity, the distinctiveness threshold.
+    """
+    return cohesion >= params.cohesion_threshold and all(
+        min(cohesion, w) - d >= params.distinctiveness_threshold for w, d in others
+    )
+
+
 def _validity(
     member_sets: Sequence[Sequence[int]], params: Parameters, aff: AffinityMatrix
 ) -> FieldValidity:
     cohesions = tuple(_mean(aff, combinations(s, 2)) for s in member_sets)
     k = len(member_sets)
     matrix = [[0.0] * k for _ in range(k)]
-    ok = all(w >= params.cohesion_threshold for w in cohesions)
     for i, j in combinations(range(k), 2):
-        d = _mean(aff, _cross_pairs(member_sets[i], member_sets[j]))
-        matrix[i][j] = matrix[j][i] = d
-        if min(cohesions[i], cohesions[j]) - d < params.distinctiveness_threshold:
-            ok = False
+        matrix[i][j] = matrix[j][i] = _mean(aff, _cross_pairs(member_sets[i], member_sets[j]))
+    ok = all(
+        _holds(cohesions[i], zip(cohesions[i + 1 :], matrix[i][i + 1 :]), params) for i in range(k)
+    )
     return FieldValidity(cohesions, tuple(tuple(row) for row in matrix), ok)
 
 
@@ -141,19 +157,31 @@ def _accept(
 
     A candidate ``(key, members, position, replaced)`` drops the
     categories at the indices in replaced and puts a new category of
-    members at position. Candidates are scanned in the order given; one
-    whose key does not beat the best valid key so far is skipped, and
-    the rest are tested with ``_validity``. Every other category is
-    reused as it is. None when no candidate is valid.
+    members at position; ``-key[0]`` is that category's cohesion,
+    ``_mean(aff, combinations(members, 2))``. Candidates are scanned in
+    the order given; one whose key does not beat the best valid key so
+    far is skipped. The field as it stands is scored once, by
+    ``_validity``; each remaining candidate is judged on what it changes,
+    its own cohesion and its cross affinity to each kept category, read
+    against the kept categories' scores. The verdict is the one
+    ``_validity`` gives the whole candidate field, also on a field that
+    is already invalid. Every other category is reused as it is. None
+    when no candidate is valid.
     """
+    sets = [c.members for c in field.categories]
+    now = _validity(sets, params, aff)
+    w, cross = now.cohesions, now.distinctiveness
     best = None
     for candidate in candidates:
         key, members, position, replaced = candidate
         if best is not None and key >= best[0]:
             continue
-        member_sets = [c.members for k, c in enumerate(field.categories) if k not in replaced]
-        member_sets.insert(position, members)
-        if _validity(member_sets, params, aff).ok:
+        kept = [k for k in range(len(sets)) if k not in replaced]
+        row = [(w[k], _mean(aff, _cross_pairs(members, sets[k]))) for k in kept]
+        kept_valid = now.ok or all(
+            _holds(w[i], ((w[j], cross[i][j]) for j in kept if j > i), params) for i in kept
+        )
+        if kept_valid and _holds(-key[0], row, params):
             best = candidate
     if best is None:
         return None

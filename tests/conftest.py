@@ -35,6 +35,12 @@ line once, by its first two characters. ``reference_run`` is the
 engine's contract followed literally: every candidate of every hunt
 tested, with exact ``Fraction`` means and lowest-id ties, against the
 float sums and the key-order skip of ``engine.run``.
+``whole_field_accept`` is the engine's acceptance rule testing each
+candidate on its whole field with ``engine._validity``;
+``engine._accept`` scores the field once and judges a candidate on what
+it changes. ``planted_corpus`` builds seeded copies of random prototypes
+with the prototype each object copies, for mid-size comparisons with
+``reference_run``; the benchmark's generator in ``perfbench`` is its own.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import pytest
 
-from polyclust import datasets, information
+from polyclust import datasets, engine, information
 from polyclust.dataio import ParseError, RefRecord
 from polyclust.information import Bits, affinity
 from polyclust.model import (
@@ -80,6 +86,26 @@ def bits_corpus(
         for i, pattern in enumerate(patterns)
     )
     return Corpus(space, objects)
+
+
+def planted_corpus(
+    seed: int, n: int, *, width: int = 40, k: int = 4, flip: float = 0.1
+) -> tuple[Corpus, tuple[int, ...]]:
+    """Seeded copies of k random prototypes, with the prototype each object copies.
+
+    Prototypes are dealt to the n objects round robin and shuffled, so
+    each has n/k objects, rounded; every bit of a copy is flipped with
+    probability flip. Returns the corpus and each object's prototype.
+    """
+    rng = random.Random(f"planted-corpus:{seed}:{n}:{width}:{k}:{flip}")
+    prototypes = [[rng.randrange(2) for _ in range(width)] for _ in range(k)]
+    assignment = [i % k for i in range(n)]
+    rng.shuffle(assignment)
+    rows = [
+        "".join("1" if bit != (rng.random() < flip) else "0" for bit in prototypes[p])
+        for p in assignment
+    ]
+    return bits_corpus(rows), tuple(assignment)
 
 
 def keyword_rows(
@@ -452,6 +478,42 @@ def make_category(corpus: Corpus, ids: Sequence[int]) -> Category:
     w = cohesion([corpus.objects[i] for i in members])
     provisional = Category(members, w, members[0])
     return Category(members, w, best_member(provisional, corpus))
+
+
+def whole_field_accept(
+    field: ConceptField,
+    aff: engine.AffinityMatrix,
+    params: Parameters,
+    action: str,
+    candidates: Iterable[tuple[tuple[float, int, int], tuple[int, ...], int, tuple[int, ...]]],
+) -> Optional[tuple[ConceptField, engine.TraceStep]]:
+    """``engine._accept`` with each candidate tested on the whole field it would leave.
+
+    Each candidate whose key beats the best valid key so far is applied to
+    the field's member sets, and ``engine._validity`` scores every
+    cohesion and every pair of the result. The winner is applied as
+    ``engine._accept`` applies it.
+    """
+    best = None
+    for candidate in candidates:
+        key, members, position, replaced = candidate
+        if best is not None and key >= best[0]:
+            continue
+        member_sets = [c.members for k, c in enumerate(field.categories) if k not in replaced]
+        member_sets.insert(position, members)
+        if engine._validity(member_sets, params, aff).ok:
+            best = candidate
+    if best is None:
+        return None
+    _, members, position, replaced = best
+    new = engine._new_category(members, aff)
+    categories = [c for k, c in enumerate(field.categories) if k not in replaced]
+    categories.insert(position, new)
+    objects = tuple(sorted(set(members).intersection(field.unclustered)))
+    unclustered = tuple(u for u in field.unclustered if u not in objects)
+    merged_from = replaced if action == "merge" else None
+    step = engine.TraceStep(action, objects, position, new.cohesion, merged_from)
+    return ConceptField(tuple(categories), unclustered), step
 
 
 Step = tuple[str, tuple[int, ...], int, Optional[tuple[int, int]]]

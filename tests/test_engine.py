@@ -17,7 +17,9 @@ from conftest import (
     distinctiveness,
     make_category,
     margin,
+    planted_corpus,
     reference_run,
+    whole_field_accept,
 )
 from polyclust import datasets, description, emit_json, engine, information, run
 from polyclust.engine import (
@@ -232,6 +234,120 @@ class TestMergeHunt:
         assert new_field.categories[1] is field.categories[1]
         merged = _mean(aff, combinations((0, 1, 4, 5), 2))
         assert step == engine.TraceStep("merge", (), 0, merged, (0, 2))
+
+
+class TestAcceptJudgesWhatACandidateChanges:
+    """``_accept`` scores the field once and judges each candidate on what it changes.
+
+    Its verdicts and answers must equal ``whole_field_accept``, which
+    tests each candidate on the whole field it would leave, on any field:
+    also on one that is already invalid, as a library caller may build.
+    The fields here are built by hand from seeded random rows, with
+    thresholds drawn from 0.0, random values and the field's own
+    cohesions and margins, so that comparisons land exactly on a
+    threshold too.
+    """
+
+    HUNTS = (object_hunt, protoseed_hunt, merge_hunt)
+
+    @staticmethod
+    def fields(count):
+        """(corpus, aff, field, params, failures): each failure ("cohesion", i) or ("margin", i, j)."""
+        rng = random.Random(2207)
+        for _ in range(count):
+            n = rng.randint(4, 12)
+            width = rng.randint(3, 10)
+            density = rng.uniform(0.2, 0.8)
+            corpus = bits_corpus(
+                [
+                    "".join("1" if rng.random() < density else "0" for _ in range(width))
+                    for _ in range(n)
+                ]
+            )
+            ids = list(range(n))
+            rng.shuffle(ids)
+            categories = []
+            while len(ids) >= 2 and rng.random() < 0.75:
+                size = rng.randint(2, min(4, len(ids)))
+                categories.append(ids[:size])
+                del ids[:size]
+            field = field_of(corpus, categories)
+            scores = field_valid(field, corpus, DEFAULTS)
+            k = len(categories)
+            cohesions = list(scores.cohesions)
+            margins = [
+                min(cohesions[i], cohesions[j]) - scores.distinctiveness[i][j]
+                for i, j in combinations(range(k), 2)
+            ]
+            if rng.random() < 0.2:
+                params = Parameters(0.0, 0.0)
+            else:
+                params = Parameters(
+                    rng.choice([0.0, rng.uniform(0.0, 0.5)] + cohesions),
+                    rng.choice([0.0, rng.uniform(0.0, 0.4)] + [m for m in margins if m >= 0.0]),
+                )
+            low = [("cohesion", i) for i in range(k) if cohesions[i] < params.cohesion_threshold]
+            narrow = [
+                ("margin", i, j)
+                for (i, j), m in zip(combinations(range(k), 2), margins)
+                if m < params.distinctiveness_threshold
+            ]
+            yield corpus, affinity_matrix(corpus), field, params, low + narrow
+
+    def test_every_hunt_and_every_verdict_equal_the_whole_field_oracle(self, monkeypatch):
+        seen: Counter[str] = Counter()
+        for corpus, aff, field, params, failures in self.fields(1000):
+            for hunt in self.HUNTS:
+                asked = []
+
+                def oracle(field, aff, params, action, candidates):
+                    candidates = list(candidates)
+                    asked.extend((action, c) for c in candidates)
+                    return whole_field_accept(field, aff, params, action, candidates)
+
+                with monkeypatch.context() as m:
+                    m.setattr(engine, "_accept", oracle)
+                    want = hunt(field, aff, params)
+                assert hunt(field, aff, params) == want
+                for action, candidate in asked:
+                    verdict = engine._accept(field, aff, params, action, [candidate])
+                    assert verdict == whole_field_accept(field, aff, params, action, [candidate])
+                    seen["valid" if verdict else "invalid"] += 1
+                    replaced = set(candidate[3])
+                    seen.update({f"kept {f[0]}": 1 for f in failures if not replaced & set(f[1:])})
+                if want is None:
+                    continue
+                seen["found"] += 1
+                if params == Parameters(0.0, 0.0):
+                    seen["zero thresholds"] += 1
+                if failures:
+                    # the new field is valid, so the action replaced every failing category
+                    seen["repaired"] += 1
+                    if hunt is object_hunt and all(f[0] == "margin" for f in failures):
+                        seen["margin repaired by one side"] += 1
+            seen.update({f[0]: 1 for f in failures})
+        assert seen["cohesion"] >= 50 and seen["margin"] >= 50, seen
+        assert seen["kept cohesion"] >= 500 and seen["kept margin"] >= 500, seen
+        assert seen["repaired"] >= 20 and seen["margin repaired by one side"] >= 5, seen
+        assert seen["zero thresholds"] >= 50 and seen["found"] >= 500, seen
+        assert seen["valid"] >= 1000 and seen["invalid"] >= 1000, seen
+
+    def test_every_key_leads_with_the_candidate_cohesion(self, monkeypatch):
+        """The verdict reads a candidate's cohesion from its key, bit for bit."""
+        keys: Counter[str] = Counter()
+        accept = engine._accept
+
+        def spy(field, aff, params, action, candidates):
+            candidates = list(candidates)
+            for key, members, _, _ in candidates:
+                assert key[0].hex() == (-_mean(aff, combinations(members, 2))).hex()
+                keys[action] += 1
+            return accept(field, aff, params, action, candidates)
+
+        monkeypatch.setattr(engine, "_accept", spy)
+        for _, corpus, params in TestReferenceEngine.cases():
+            run(corpus, params)
+        assert min(keys[action] for action in ("protoseed", "add", "merge")) > 0, keys
 
 
 class TestRun:
@@ -473,15 +589,49 @@ class TestReferenceEngine:
                 return ("prototype", k), ours, theirs
         return None
 
+    @staticmethod
+    def outcome(corpus, params):
+        """``engine.run`` as ``reference_run`` reports it: (trace, categories, unclustered)."""
+        result = run(corpus, params)
+        return (
+            tuple((s.action, s.objects, s.category, s.merged_from) for s in result.trace),
+            tuple((c.members, c.best_member) for c in result.field.categories),
+            result.field.unclustered,
+        )
+
+    @staticmethod
+    def exact_means(corpus, params, difference):
+        """The exact means behind the reference's and the engine's choice at a difference.
+
+        For a step, the cohesion of the category each step makes from the
+        field before it; for a prototype, each member's mean affinity to
+        the rest. They are equal when the difference is an exact tie.
+        """
+        (what, k), ours, theirs = difference
+        aff = affinity_matrix(corpus)
+        if what == "prototype":
+            members = reference_run(corpus, params)[1][k][0]
+            choices = [[(i, j) for j in members if j != i] for i in (ours, theirs)]
+        else:
+            fields = [ConceptField.initial(len(corpus))]
+            run(corpus, params, on_action=lambda field, step: fields.append(field))
+            before = fields[k].categories  # the same field for both: the steps so far agree
+
+            def made(step):
+                action, objects, index, merged_from = step
+                replaced = merged_from or ((index,) if action == "add" else ())
+                return sorted(objects + tuple(i for c in replaced for i in before[c].members))
+
+            choices = [list(combinations(made(step), 2)) for step in (ours, theirs)]
+        return [
+            sum((Fraction(aff[i][j]) for i, j in pairs), Fraction(0)) / len(pairs)
+            for pairs in choices
+        ]
+
     def test_the_engine_equals_the_reference_but_on_exact_ties(self):
         seen: Counter[str] = Counter()
         for name, corpus, params in self.cases():
-            result = run(corpus, params)
-            got = (
-                tuple((s.action, s.objects, s.category, s.merged_from) for s in result.trace),
-                tuple((c.members, c.best_member) for c in result.field.categories),
-                result.field.unclustered,
-            )
+            got = self.outcome(corpus, params)
             want = reference_run(corpus, params)
             if name in self.DIFFERENT:
                 assert self.first_difference(want, got) == self.DIFFERENT[name], name
@@ -496,22 +646,43 @@ class TestReferenceEngine:
         assert min(seen[action] for action in ("protoseed", "add", "merge")) > 0, seen
 
     def test_each_difference_is_an_exact_tie(self):
-        """The two candidates of each decision that differs reach one exact sum over their pairs."""
         for name, corpus, params in random_cases():
-            if name not in self.DIFFERENT:
-                continue
-            (what, k), ours, theirs = self.DIFFERENT[name]
-            aff = affinity_matrix(corpus)
-            trace, categories, _ = reference_run(corpus, params)
-            if what == "prototype":
-                members = categories[k][0]
-                candidates = [[(i, j) for j in members if j != i] for i in (ours, theirs)]
+            if name in self.DIFFERENT:
+                ours, theirs = self.exact_means(corpus, params, self.DIFFERENT[name])
+                assert ours == theirs, name
+
+
+class TestReferenceEngineMidSize:
+    """``engine.run`` against ``reference_run`` on planted corpora of n 20 to 40.
+
+    Each seed's corpus copies four prototypes of 40 bits with 10% of the
+    bits flipped, at the benchmark's thresholds (0.3, 0.15). ``DIFFERENT``
+    holds, by seed, each run whose first decision differs, as in
+    ``TestReferenceEngine``; each is an exact tie that the float sums rank
+    by rounding.
+    """
+
+    PARAMS = Parameters(0.3, 0.15)
+    SEEDS = range(1, 29)
+    DIFFERENT = {
+        3: (("step", 9), ("add", (0,), 1, None), ("add", (22,), 1, None)),
+    }
+
+    def test_the_engine_equals_the_reference_but_on_exact_ties(self):
+        different = 0
+        for seed in self.SEEDS:
+            corpus, _ = planted_corpus(seed, 20 + seed % 21)
+            got = TestReferenceEngine.outcome(corpus, self.PARAMS)
+            want = reference_run(corpus, self.PARAMS)
+            if seed in self.DIFFERENT:
+                difference = TestReferenceEngine.first_difference(want, got)
+                assert difference == self.DIFFERENT[seed], seed
+                ours, theirs = TestReferenceEngine.exact_means(corpus, self.PARAMS, difference)
+                assert ours == theirs, seed
+                different += 1
             else:
-                assert {step[2] for step in trace[:k]} == {0}, name  # one category so far
-                members = tuple(sorted(i for step in trace[:k] for i in step[1]))
-                candidates = [combinations(sorted(members + step[1]), 2) for step in (ours, theirs)]
-            sums = [sum((Fraction(aff[i][j]) for i, j in pairs), Fraction(0)) for pairs in candidates]
-            assert sums[0] == sums[1], name
+                assert got == want, seed
+        assert different == len(self.DIFFERENT)
 
 
 class TestMeanKernelOrder:
