@@ -61,18 +61,6 @@ def _load_corpus(path: str, fmt: Optional[str], with_title_tokens: bool = False)
     return corpus
 
 
-def _unit_interval(ctx: click.Context, param: click.Parameter, value: float) -> float:
-    if not 0.0 <= value <= 1.0:
-        raise click.BadParameter(f"{value} outside [0, 1]")
-    return value
-
-
-def _alpha_interval(ctx: click.Context, param: click.Parameter, value: float) -> float:
-    if not 0.0 < value <= 1.0:
-        raise click.BadParameter(f"{value} outside (0, 1]")
-    return value
-
-
 _format_option = click.option(
     "--format",
     "fmt",
@@ -105,15 +93,15 @@ def main() -> None:
 @_input_option
 @_format_option
 @click.option(
-    "--cohesion", default=0.4, show_default=True, callback=_unit_interval,
+    "--cohesion", default=0.4, show_default=True,
     help="Minimum within-category mean affinity, in bits.",
 )
 @click.option(
-    "--distinctiveness", default=0.2, show_default=True, callback=_unit_interval,
+    "--distinctiveness", default=0.2, show_default=True,
     help="Minimum cohesion margin over every other category, in bits.",
 )
 @click.option(
-    "--alpha", default=0.5, show_default=True, callback=_alpha_interval,
+    "--alpha", default=0.5, show_default=True,
     help="Minimum in-category frequency for a rule feature.",
 )
 @click.option(
@@ -133,11 +121,12 @@ def cluster(
     with_title_tokens: bool,
 ) -> None:
     """Cluster a corpus and print the concept field report."""
-    corpus = _load_corpus(path, fmt, with_title_tokens)
+    # thresholds are checked before the input is read
     try:
         params = Parameters(cohesion, distinctiveness, alpha)
     except ParameterError as exc:
         raise click.UsageError(str(exc)) from exc
+    corpus = _load_corpus(path, fmt, with_title_tokens)
     on_action = None
     if trace:
         def on_action(field, step):  # noqa: ANN001

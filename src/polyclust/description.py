@@ -66,21 +66,14 @@ def describe_step(step: "TraceStep", corpus: Corpus) -> str:
         return ", ".join(corpus.objects[i].label for i in ids)
 
     if step.action == "protoseed":
-        return (
-            f"protoseed {{{names(step.objects)}}} -> category {step.category + 1} "
-            f"(cohesion {step.cohesion:.6f})"
-        )
-    if step.action == "add":
-        return (
-            f"add {names(step.objects)} -> category {step.category + 1} "
-            f"(cohesion {step.cohesion:.6f})"
-        )
-    assert step.merged_from is not None
-    i, j = step.merged_from
-    return (
-        f"merge categories {i + 1} + {j + 1} -> category {step.category + 1} "
-        f"(cohesion {step.cohesion:.6f})"
-    )
+        head = f"protoseed {{{names(step.objects)}}}"
+    elif step.action == "add":
+        head = f"add {names(step.objects)}"
+    else:
+        assert step.merged_from is not None
+        i, j = step.merged_from
+        head = f"merge categories {i + 1} + {j + 1}"
+    return f"{head} -> category {step.category + 1} (cohesion {step.cohesion:.6f})"
 
 
 def render_report(

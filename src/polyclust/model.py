@@ -211,10 +211,6 @@ class Corpus:
         return len(self.objects)
 
     @cached_property
-    def _by_label(self) -> dict[str, int]:
-        return {obj.label: obj.id for obj in self.objects}
-
-    @cached_property
     def warnings(self) -> tuple[str, ...]:
         """One warning per feature constant across two or more objects, computed when read.
 
@@ -312,10 +308,10 @@ class Corpus:
         return groups
 
     def object_by_label(self, label: str) -> ObjectInstance:
-        idx = self._by_label.get(label)
-        if idx is None:
-            raise CorpusError(f"unknown object label {label!r}")
-        return self.objects[idx]
+        for obj in self.objects:
+            if obj.label == label:
+                return obj
+        raise CorpusError(f"unknown object label {label!r}")
 
 
 _BINARY = frozenset((0, 1))
@@ -356,6 +352,16 @@ class Parameters:
             raise ParameterError(f"rule_alpha {self.rule_alpha} outside (0, 1]")
 
 
+def check_m_of_n(m: int, features: tuple[int, ...], least: int) -> None:
+    """Raise ValueError unless features are some distinct non-negative ids and least <= m <= n."""
+    if not features:
+        raise ValueError("an m-of-n rule needs at least one feature label")
+    if min(features) < 0 or len(set(features)) < len(features):
+        raise ValueError(f"feature indices {features} are not distinct and non-negative")
+    if not least <= m <= len(features):
+        raise ValueError(f"m={m} outside [{least}, {len(features)}]")
+
+
 @dataclass(frozen=True)
 class PolymorphousRule:
     """An "at least m of these n features" membership rule.
@@ -372,13 +378,7 @@ class PolymorphousRule:
     false_alarm_rate: float
 
     def __post_init__(self) -> None:
-        features = self.feature_set
-        if not features:
-            raise ValueError("empty rule feature set")
-        if min(features) < 0 or len(set(features)) < len(features):
-            raise ValueError(f"feature indices {features} are not distinct and non-negative")
-        if not 0 <= self.m <= len(features):
-            raise ValueError(f"m={self.m} outside [0, {len(features)}]")
+        check_m_of_n(self.m, self.feature_set, 0)
 
     @property
     def n(self) -> int:

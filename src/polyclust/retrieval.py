@@ -35,7 +35,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
-from .model import Corpus
+from .model import Corpus, check_m_of_n
 
 
 @dataclass(frozen=True)
@@ -46,13 +46,7 @@ class PolymorphousQuery:
     feature_set: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        features = self.feature_set
-        if not features:
-            raise ValueError("query needs at least one feature label")
-        if min(features) < 0 or len(set(features)) < len(features):
-            raise ValueError(f"feature indices {features} are not distinct and non-negative")
-        if not 1 <= self.m <= len(features):
-            raise ValueError(f"m={self.m} outside [1, {len(features)}]")
+        check_m_of_n(self.m, self.feature_set, 1)
 
     @classmethod
     def resolve(cls, corpus: Corpus, m: int, labels: Iterable[str]) -> "PolymorphousQuery":

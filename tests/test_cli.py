@@ -93,13 +93,42 @@ class TestCluster:
         assert result.exit_code == 0
         assert "[trace] protoseed {csb, csw}" in result.output
 
-    def test_out_of_range_cohesion_exits_2(self, runner, shapes_file):
-        result = runner.invoke(main, ["cluster", "--input", shapes_file, "--cohesion", "1.5"])
-        assert result.exit_code == 2
-
-    def test_out_of_range_alpha_exits_2(self, runner, shapes_file):
-        result = runner.invoke(main, ["cluster", "--input", shapes_file, "--alpha", "0"])
-        assert result.exit_code == 2
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            *(
+                pytest.param(flag, value, f"{name} {float(value)} outside [0, 1]",
+                             id=f"{flag[2:]}={value}")
+                for flag, name in (
+                    ("--cohesion", "cohesion_threshold"),
+                    ("--distinctiveness", "distinctiveness_threshold"),
+                )
+                for value in ("-0.1", "1.5", "nan", "inf")
+            ),
+            *(
+                pytest.param("--alpha", value, f"rule_alpha {float(value)} outside (0, 1]",
+                             id=f"alpha={value}")
+                for value in ("0", "-1", "1.5", "nan")
+            ),
+            # the closed ends are in range, so the missing input is read and fails
+            *(
+                pytest.param(flag, value, None, id=f"{flag[2:]}={value}")
+                for flag in ("--cohesion", "--distinctiveness")
+                for value in ("0", "1")
+            ),
+            pytest.param("--alpha", "1", None, id="alpha=1"),
+        ],
+    )
+    def test_thresholds_checked_by_parameters_before_input(self, runner, flag, value, message):
+        with runner.isolated_filesystem():
+            result = runner.invoke(main, ["cluster", "--input", "missing.csv", flag, value])
+        if message is None:
+            assert result.exit_code == 1
+            assert "cannot read missing.csv" in result.output
+        else:
+            assert result.exit_code == 2
+            assert message in result.output
+            assert "cannot read" not in result.output
 
     def test_unknown_flag_exits_2(self, runner, shapes_file):
         result = runner.invoke(main, ["cluster", "--input", shapes_file, "--bogus"])

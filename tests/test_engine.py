@@ -685,6 +685,32 @@ class TestReferenceEngineMidSize:
         assert different == len(self.DIFFERENT)
 
 
+class TestPlantedRecovery:
+    """At (0.40, 0.15) the hunts recover four planted prototypes of n 40, unmixed.
+
+    Each corpus copies four prototypes of 40 bits with 10% of the bits
+    flipped. Each run forms four categories whose majority prototypes
+    differ, no clustered object copies another prototype than its
+    category's majority, and every best member copies that majority.
+    At the benchmark's (0.30, 0.15) the same seeds misplace objects, and
+    seed 3 misplaces 2 even here, so neither is pinned.
+    """
+
+    PARAMS = Parameters(0.40, 0.15, 0.5)
+
+    @pytest.mark.parametrize("seed", [1, 2, 4, 5])
+    def test_each_category_copies_one_prototype(self, seed):
+        corpus, planted = planted_corpus(seed, 40)
+        categories = run(corpus, self.PARAMS).field.categories
+        majority = [
+            Counter(planted[i] for i in cat.members).most_common(1)[0][0] for cat in categories
+        ]
+        assert len(categories) == len(set(majority)) == 4
+        for cat, prototype in zip(categories, majority):
+            assert {planted[i] for i in cat.members} == {prototype}
+            assert planted[cat.best_member] == prototype
+
+
 class TestMeanKernelOrder:
     """``_mean`` adds in the order given, never compensated, on every Python."""
 

@@ -21,7 +21,7 @@ from test_description import two_of_three_field
 from test_golden import random_cases
 from test_model import broken_inputs
 from polyclust import datasets, information, run
-from polyclust.model import Corpus, CorpusError, ObjectInstance
+from polyclust.model import Corpus, CorpusError, ObjectInstance, PolymorphousRule
 from polyclust.retrieval import PolymorphousQuery, retrieve, retrieve_by_seed
 
 
@@ -89,6 +89,35 @@ class TestMatch:
         corpus = bits_corpus(["100"], features=["a", "b", "c"])
         query = PolymorphousQuery.resolve(corpus, 1, ("a", "a", "b"))
         assert query == PolymorphousQuery(1, (0, 1))
+
+
+class TestRuleAndQueryShareOneCheck:
+    """A rule and a query reject a malformed m-of-n form in the same words.
+
+    Only m's lower bound differs: a rule allows m = 0, a query needs 1.
+    """
+
+    @pytest.mark.parametrize(
+        "m, features, rule_message",
+        [
+            (1, (), "an m-of-n rule needs at least one feature label"),
+            (1, (0, 0), "feature indices (0, 0) are not distinct and non-negative"),
+            (1, (2, 0, 2), "feature indices (2, 0, 2) are not distinct and non-negative"),
+            (1, (-1,), "feature indices (-1,) are not distinct and non-negative"),
+            (1, (3, -2), "feature indices (3, -2) are not distinct and non-negative"),
+            (3, (0, 1), "m=3 outside [0, 2]"),
+            (5, (4,), "m=5 outside [0, 1]"),
+        ],
+        ids=["empty", "repeated", "repeated-of-three", "negative", "negative-second",
+             "m-past-n", "m-past-one"],
+    )
+    def test_same_message_but_for_the_lower_bound(self, m, features, rule_message):
+        with pytest.raises(ValueError) as rule_error:
+            PolymorphousRule(m, features, (), (), 0.0)
+        with pytest.raises(ValueError) as query_error:
+            PolymorphousQuery(m, features)
+        assert str(rule_error.value) == rule_message
+        assert str(query_error.value) == rule_message.replace("outside [0, ", "outside [1, ")
 
 
 class TestQueryInvariants:
