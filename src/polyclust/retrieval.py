@@ -5,34 +5,36 @@ features, which is exactly the disjunction of all m-subsets written as
 conjunctions. Seed retrieval ranks the rest of the corpus by affinity
 to one chosen object.
 
-Both read a corpus, which checked its invariants when it was built.
-Rule queries name features as ``FeatureSpace.index_of`` resolves them
+Both read a corpus, which checked its invariants when it was built. Rule
+queries name features as ``FeatureSpace.index_of`` resolves them
 (display labels, then the other forms, then up to case) and count each
-object's query features with ``ObjectInstance.count``. Seed queries read
-the corpus's feature index (``Corpus.feature_index``, one int bitmap per
-feature), built on first use and cached, and group the other objects by
-n11, the number of the seed's features they share, with the corpus's
-bit-sliced counter (``Corpus.by_count``). The seed's size is fixed for
-the query, so an object's affinity depends only on its n11 and its own
-size, whose groups the same counter gives (``Corpus.size_groups``): each
-query ranks tables, not objects, and looks each table's score up in the
-corpus (``Corpus.transmission``), which scores each distinct table once
-per corpus. Replaying the benchmark's query order, 97% of a pass's
-lookups hit on the one ``retrieval-mix`` corpus (99.8% over ten passes),
-90% on each fresh ``keyword-sparse`` corpus and 42% on each
-``planted-grow`` one; a miss reads its entropy terms from the kernel's
-per-width table (``information.plogp``). Each n11 group stops meeting
-size groups once all its objects have a bucket. Every object of
-affinity exactly 0 is ORed into one local bitmap, the count-0 group
-unscored and each gated table's bucket after its lookup; that bitmap
-joins the buckets once, as the 0.0 bucket, which the same descending
-walk reads last.
+object's query features with ``ObjectInstance.count``, in one pass that
+groups the ids by count; the groups, n down to m, are the answer,
+unsorted. Seed queries read the corpus's feature index
+(``Corpus.feature_index``, one int bitmap per feature), built on first
+use and cached, and group the other objects by n11, the number of the
+seed's features they share, with the corpus's bit-sliced counter
+(``Corpus.by_count``). The seed's size is fixed for the query, so an
+object's affinity depends only on its n11 and its own size, whose groups
+the same counter gives (``Corpus.size_groups``): each query ranks
+tables, not objects, and looks each table's score up in the corpus
+(``Corpus.transmission``), which scores each distinct table once per
+corpus. Replaying the benchmark's query order, 97% of a pass's lookups
+hit on the one ``retrieval-mix`` corpus (99.8% over ten passes), 90% on
+each fresh ``keyword-sparse`` corpus and 42% on each ``planted-grow``
+one; a miss reads its entropy terms from the kernel's per-width table
+(``information.plogp``). Each n11 group stops meeting size groups once
+all its objects have a bucket. Every object of affinity exactly 0 is
+ORed into one local bitmap, the count-0 group unscored and each gated
+table's bucket after its lookup; that bitmap joins the buckets once, as
+the 0.0 bucket, which the same descending walk reads last.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 from .model import Corpus, check_m_of_n
@@ -50,6 +52,8 @@ class PolymorphousQuery:
 
     @classmethod
     def resolve(cls, corpus: Corpus, m: int, labels: Iterable[str]) -> "PolymorphousQuery":
+        if isinstance(labels, str):
+            raise TypeError(f"labels must be an iterable of names, not the string {labels!r}")
         indices: list[int] = []
         for name in labels:
             idx = corpus.space.index_of(name)  # raises naming the label
@@ -61,16 +65,20 @@ class PolymorphousQuery:
 def retrieve(corpus: Corpus, query: PolymorphousQuery) -> tuple[int, ...]:
     """All matching object ids, by descending query-feature count, then id.
 
-    A feature index at or past the corpus width raises ValueError naming it.
+    Each id of count at least m joins its count's group in id order, and the
+    answer reads the groups from n down to m. A feature index at or past the
+    corpus width raises ValueError naming it.
     """
     m, features = query.m, query.feature_set
     width = len(corpus.space)
     if max(features) >= width:
         past = ", ".join(str(f) for f in features if f >= width)
         raise ValueError(f"feature index {past} out of range for {width} features")
-    scored = [(c, obj.id) for obj in corpus.objects if (c := obj.count(features)) >= m]
-    scored.sort(key=lambda t: (-t[0], t[1]))
-    return tuple(obj_id for _, obj_id in scored)
+    groups: list[list[int]] = [[] for _ in range(len(features) + 1)]
+    for obj in corpus.objects:
+        if (c := obj.count(features)) >= m:
+            groups[c].append(obj.id)
+    return tuple(chain.from_iterable(reversed(groups[m:])))
 
 
 def retrieve_by_seed(

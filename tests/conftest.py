@@ -17,10 +17,13 @@ against. ``keyword_rows`` and ``keyword_corpus`` build seeded keyword
 corpora of any size straight from keyword ids. ``retrieve_by_seed_scan``
 ranks every object by its own ``information.affinity`` to the seed;
 the program scores only the objects that share a feature with the
-seed, through the corpus's feature index. ``misclassification`` counts a rule's false alarms and
-misses over a field, through ``ObjectInstance.count``, the count that
-rule queries use. ``by_count_scan`` groups objects by their number of
-given features one bit at a time, against the bit-sliced counter
+seed, through the corpus's feature index. ``retrieve_sorted_scan``
+sorts every matching (count, id) pair, against the count groups that
+``retrieval.retrieve`` reads in order. ``misclassification`` counts a
+rule's false alarms and misses over a field, through
+``ObjectInstance.count``, the count that rule queries use.
+``by_count_scan`` groups objects by their number of given features one
+bit at a time, against the bit-sliced counter
 ``Corpus.by_count``. ``resolve_name_scan`` resolves a feature name by
 scanning every feature's names tier by tier, against the one name table
 of ``FeatureSpace.index_of``. ``scan_feature_frequencies``,
@@ -69,6 +72,7 @@ from polyclust.model import (
     Parameters,
     PolymorphousRule,
 )
+from polyclust.retrieval import PolymorphousQuery
 
 
 def bits_corpus(
@@ -291,6 +295,18 @@ def retrieve_by_seed_scan(
     ]
     ranked.sort(key=lambda t: (-t[0], t[1]))
     return tuple((obj_id, aff) for aff, obj_id in ranked[:k])
+
+
+def retrieve_sorted_scan(corpus: Corpus, query: PolymorphousQuery) -> tuple[int, ...]:
+    """``retrieval.retrieve`` as a sort of every matching (count, id) pair."""
+    m, features = query.m, query.feature_set
+    width = len(corpus.space)
+    if max(features) >= width:
+        past = ", ".join(str(f) for f in features if f >= width)
+        raise ValueError(f"feature index {past} out of range for {width} features")
+    scored = [(c, obj.id) for obj in corpus.objects if (c := obj.count(features)) >= m]
+    scored.sort(key=lambda t: (-t[0], t[1]))
+    return tuple(obj_id for _, obj_id in scored)
 
 
 def margin(

@@ -168,6 +168,17 @@ class TestQuery:
                 expected.add(label)
         assert set(lines) == expected
 
+    def test_rule_answer_order_on_shapes(self, runner, shapes_file):
+        result = runner.invoke(
+            main, ["query", "--input", shapes_file, "--rule", "1:circular,symmetric,black"]
+        )
+        assert result.exit_code == 0
+        assert result.output.splitlines() == [
+            "csb\t3/1 of 3",
+            "csw\t2/1 of 3", "cab\t2/1 of 3", "qsb\t2/1 of 3",
+            "caw\t1/1 of 3", "qsw\t1/1 of 3", "qab\t1/1 of 3",
+        ]
+
     def test_visual_search_query(self, runner, abstracts_file):
         result = runner.invoke(
             main,

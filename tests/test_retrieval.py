@@ -16,6 +16,7 @@ from conftest import (
     keyword_rows,
     object_pair_table,
     retrieve_by_seed_scan,
+    retrieve_sorted_scan,
 )
 from test_description import two_of_three_field
 from test_golden import random_cases
@@ -89,6 +90,12 @@ class TestMatch:
         corpus = bits_corpus(["100"], features=["a", "b", "c"])
         query = PolymorphousQuery.resolve(corpus, 1, ("a", "a", "b"))
         assert query == PolymorphousQuery(1, (0, 1))
+
+    def test_a_bare_string_is_not_read_as_one_letter_names(self):
+        corpus = bits_corpus(["110", "011", "101"], features=["a", "b", "c"])
+        with pytest.raises(TypeError, match="not the string 'ab'"):
+            PolymorphousQuery.resolve(corpus, 1, "ab")
+        assert PolymorphousQuery.resolve(corpus, 1, ["a", "b"]) == PolymorphousQuery(1, (0, 1))
 
 
 class TestRuleAndQueryShareOneCheck:
@@ -183,6 +190,30 @@ class TestRetrieve:
             "abstract 4",
             "abstract 6",
         }
+
+
+class TestRetrieveEqualsSortedScan:
+    """The count-group walk answers as a sort of every matching (count, id) pair."""
+
+    @pytest.mark.parametrize("n", [1, 2, 29, 30, 31, 60, 130])
+    @pytest.mark.parametrize("density", [(0.5, 0.8), (0.03, 0.15)], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_every_m_of_seeded_queries(self, n, density, seed):
+        rng = random.Random(f"retrieve-groups:{n}:{density}:{seed}")
+        width, p = 12, rng.uniform(*density)
+        rows = ["".join("1" if rng.random() < p else "0" for _ in range(width)) for _ in range(n)]
+        for i in range(1, n, 3):
+            rows[i] = rows[rng.randrange(i)]  # a duplicate of an earlier row
+        corpus = bits_corpus([row + "01" for row in rows])  # one column never set, one always
+        for size in range(1, 7):
+            for _ in range(4):
+                features = tuple(rng.sample(range(width + 2), size))
+                for m in range(1, size + 1):
+                    query = PolymorphousQuery(m, features)
+                    assert retrieve(corpus, query) == retrieve_sorted_scan(corpus, query)
+        nothing, every = PolymorphousQuery(1, (width,)), PolymorphousQuery(1, (width + 1,))
+        assert retrieve(corpus, nothing) == retrieve_sorted_scan(corpus, nothing) == ()
+        assert retrieve(corpus, every) == retrieve_sorted_scan(corpus, every) == tuple(range(n))
 
 
 class TestRuleDoublesAsQuery:
