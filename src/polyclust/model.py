@@ -1,8 +1,9 @@
 """Data model for polymorphous concept formation.
 
-Every type here is immutable once constructed. New states are built by
-constructing new values, never by mutation, so corpora, categories, and
-whole concept fields are safe to share, cache, and compare across runs.
+Every type here is immutable once constructed: new states are new
+values, so corpora, categories and fields are safe to share, cache and
+compare. A corpus caches only its indices; every table score lives in
+the kernel's one memo, held for the process, ``information.table_score``.
 """
 
 from __future__ import annotations
@@ -10,9 +11,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from operator import index
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from . import information
+if TYPE_CHECKING:
+    from .retrieval import PolymorphousQuery
 
 
 class CorpusError(ValueError):
@@ -252,27 +255,6 @@ class Corpus:
         """``by_count`` of every feature among every object: ``(size, ids)`` groups; cached."""
         return tuple(self.by_count(range(len(self.space)), (1 << len(self.objects)) - 1))
 
-    @cached_property
-    def _transmissions(self) -> dict[tuple[int, int, int], float]:
-        return {}
-
-    def transmission(self, n11: int, ones_a: int, ones_b: int) -> float:
-        """``information.gated_transmission`` of this table at the corpus width, scored once.
-
-        The scores live in a dict on the corpus, keyed by ``(n11, smaller
-        size, larger size)``: both orders of the sizes give the same float,
-        because the kernel sums the cells sorted and IEEE addition is
-        commutative. The dict holds one float per distinct table asked
-        for and dies with the corpus; it takes no part in ``==``.
-        """
-        key = (n11, ones_a, ones_b) if ones_a <= ones_b else (n11, ones_b, ones_a)
-        memo = self._transmissions
-        value = memo.get(key)
-        if value is None:
-            width = len(self.space.features)
-            value = memo[key] = information.gated_transmission(n11, ones_a, ones_b, width)
-        return value
-
     def by_count(self, features: Iterable[int], among: int) -> list[tuple[int, int]]:
         """The objects of bitmap ``among`` as ``(count, ids)`` groups, highest count first.
 
@@ -352,8 +334,20 @@ class Parameters:
             raise ParameterError(f"rule_alpha {self.rule_alpha} outside (0, 1]")
 
 
-def check_m_of_n(m: int, features: tuple[int, ...], least: int) -> None:
-    """Raise ValueError unless features are some distinct non-negative ids and least <= m <= n."""
+def as_int(value: int, name: str) -> int:
+    """value read through ``operator.index``; a bool or a non-integer raises TypeError naming it."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{name} must be an int, not {value!r}")
+    return index(value)
+
+
+def check_m_of_n(form: PolymorphousRule | PolymorphousQuery, least: int) -> None:
+    """Keep m and the ids as ints; ValueError unless the ids are distinct, >= 0, least <= m <= n."""
+    m, features = form.m, form.feature_set
+    if type(m) is not int or not all(type(f) is int for f in features):
+        m, features = as_int(m, "m"), tuple(as_int(f, "a feature index") for f in features)
+        object.__setattr__(form, "m", m)
+        object.__setattr__(form, "feature_set", features)
     if not features:
         raise ValueError("an m-of-n rule needs at least one feature label")
     if min(features) < 0 or len(set(features)) < len(features):
@@ -378,7 +372,7 @@ class PolymorphousRule:
     false_alarm_rate: float
 
     def __post_init__(self) -> None:
-        check_m_of_n(self.m, self.feature_set, 0)
+        check_m_of_n(self, 0)
 
     @property
     def n(self) -> int:

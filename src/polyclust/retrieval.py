@@ -10,24 +10,18 @@ queries name features as ``FeatureSpace.index_of`` resolves them
 (display labels, then the other forms, then up to case) and count each
 object's query features with ``ObjectInstance.count``, in one pass that
 groups the ids by count; the groups, n down to m, are the answer,
-unsorted. Seed queries read the corpus's feature index
-(``Corpus.feature_index``, one int bitmap per feature), built on first
-use and cached, and group the other objects by n11, the number of the
-seed's features they share, with the corpus's bit-sliced counter
-(``Corpus.by_count``). The seed's size is fixed for the query, so an
-object's affinity depends only on its n11 and its own size, whose groups
-the same counter gives (``Corpus.size_groups``): each query ranks
-tables, not objects, and looks each table's score up in the corpus
-(``Corpus.transmission``), which scores each distinct table once per
-corpus. Replaying the benchmark's query order, 97% of a pass's lookups
-hit on the one ``retrieval-mix`` corpus (99.8% over ten passes), 90% on
-each fresh ``keyword-sparse`` corpus and 42% on each ``planted-grow``
-one; a miss reads its entropy terms from the kernel's per-width table
-(``information.plogp``). Each n11 group stops meeting size groups once
-all its objects have a bucket. Every object of affinity exactly 0 is
-ORed into one local bitmap, the count-0 group unscored and each gated
-table's bucket after its lookup; that bitmap joins the buckets once, as
-the 0.0 bucket, which the same descending walk reads last.
+unsorted. Seed queries group the other objects by n11, the number of
+the seed's features they share, with the corpus's bit-sliced counter
+(``Corpus.by_count``) over its cached feature bitmaps. The seed's size
+is fixed for the query, so an object's affinity depends only on its n11
+and its own size, whose groups the same counter gives
+(``Corpus.size_groups``): a query ranks tables, not objects, and asks the
+kernel, ``information.gated_transmission``, once per table. The kernel's
+memo keeps every positive table scored in the process. Replaying the
+benchmark's order at seeds 1 and 2, a ``planted-grow`` or
+``keyword-sparse`` query, which follows a clustering job on its corpus,
+scores no table: the job's affinity matrix scored them all. On
+``retrieval-mix``, which runs no job, 97% of a pass's lookups hit.
 """
 
 from __future__ import annotations
@@ -37,7 +31,8 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable
 
-from .model import Corpus, check_m_of_n
+from . import information
+from .model import Corpus, as_int, check_m_of_n
 
 
 @dataclass(frozen=True)
@@ -48,7 +43,7 @@ class PolymorphousQuery:
     feature_set: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        check_m_of_n(self.m, self.feature_set, 1)
+        check_m_of_n(self, 1)
 
     @classmethod
     def resolve(cls, corpus: Corpus, m: int, labels: Iterable[str]) -> "PolymorphousQuery":
@@ -88,22 +83,25 @@ def retrieve_by_seed(
 
     ``Corpus.by_count`` groups the other objects by n11, highest first.
     Each group with n11 > 0 is ANDed with ``Corpus.size_groups`` into one
-    bucket per distinct (n11, size) table, scored by
-    ``Corpus.transmission``; the other three cells of a table follow from
+    bucket per distinct (n11, size) table, scored by the kernel, bound to
+    a local for the query; the other three cells of a table follow from
     the two sizes. A group leaves the size groups as soon as every one
     of its objects is in a bucket. An object that shares no feature has
     n11 = 0, so its determinant is -n10*n01 <= 0: the count-0 group joins
     the 0.0 bucket unscored, as do the tables the gate sends to 0.0.
     Buckets of equal affinity are ORed together, and one walk reads the
     answer: buckets in descending affinity, each lowest id first, until
-    k are taken.
+    k are taken. A seed or k that is a bool or not an integer raises TypeError.
     """
+    if type(seed) is not int or type(k) is not int:
+        seed, k = as_int(seed, "seed"), as_int(k, "k")
     if not 0 <= seed < len(corpus):
         raise ValueError(f"seed id {seed} outside the corpus")
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     present = corpus.objects[seed].present()
     own, size_groups = len(present), corpus.size_groups
+    score, width = information.gated_transmission, len(corpus.space.features)
     others = ((1 << len(corpus)) - 1) ^ (1 << seed)
     by_affinity: defaultdict[float, int] = defaultdict(int)
     zero = 0  # every object of affinity 0.0
@@ -114,7 +112,7 @@ def retrieve_by_seed(
         for size, of_size in size_groups:
             bucket = ids & of_size
             if bucket:
-                aff = corpus.transmission(n11, own, size)
+                aff = score(n11, own, size, width)
                 if aff:
                     by_affinity[aff] |= bucket
                 else:

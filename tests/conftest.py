@@ -44,6 +44,8 @@ candidate on its whole field with ``engine._validity``;
 it changes. ``planted_corpus`` builds seeded copies of random prototypes
 with the prototype each object copies, for mid-size comparisons with
 ``reference_run``; the benchmark's generator in ``perfbench`` is its own.
+``scored_tables`` empties the kernel's table memo
+(``information.table_score``) and collects the keys it is asked for.
 """
 
 from __future__ import annotations
@@ -151,6 +153,24 @@ def with_rows(corpus: Corpus, rows: Callable[[Sequence[int]], Sequence[int]]) ->
     """The same corpus with each object's bits rebuilt by ``rows``, e.g. ``bytes``."""
     objects = tuple(replace(obj, bits=rows(obj.bits)) for obj in corpus.objects)
     return Corpus(corpus.space, objects)
+
+
+def scored_tables(monkeypatch: pytest.MonkeyPatch) -> set[tuple[int, int, int, int]]:
+    """Empty the kernel's table memo, then collect every key asked of it from here on.
+
+    Every key asked for is an entry of the memo, so the set holds the
+    memo's keys: as many as ``information.table_score.cache_info().currsize``.
+    """
+    information.table_score.cache_clear()
+    keys: set[tuple[int, int, int, int]] = set()
+    real = information.table_score
+
+    def asking(n11: int, small: int, large: int, width: int) -> Bits:
+        keys.add((n11, small, large, width))
+        return real(n11, small, large, width)
+
+    monkeypatch.setattr(information, "table_score", asking)
+    return keys
 
 
 @dataclass(frozen=True)

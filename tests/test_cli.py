@@ -332,11 +332,27 @@ class TestRetrievalCallsGoThroughModuleAttributes:
 
 class TestInfo:
     def test_dumps_entropies_and_affinities(self, runner, shapes_file):
+        """The whole output on shapes.csv: every entropy line and the full 8x8 matrix."""
         result = runner.invoke(main, ["info", "--input", shapes_file])
         assert result.exit_code == 0
-        assert "objects: 8  features: 6" in result.output
-        assert "affinity (bits):" in result.output
-        assert "csb\t1.000000" in result.output
+        z, a = "0.000000", "0.081704"
+        assert result.output.splitlines() == [
+            "objects: 8  features: 6",
+            "entropy (bits) per object:",
+            *(
+                f"  {label}\t1.000000\t(3 of 6 features)"
+                for label in ("csb", "csw", "cab", "caw", "qsb", "qsw", "qab", "qaw")
+            ),
+            "affinity (bits):",
+            f"  csb\t{z} {a} {a} {z} {a} {z} {z} {z}",
+            f"  csw\t{a} {z} {z} {a} {z} {a} {z} {z}",
+            f"  cab\t{a} {z} {z} {a} {z} {z} {a} {z}",
+            f"  caw\t{z} {a} {a} {z} {z} {z} {z} {a}",
+            f"  qsb\t{a} {z} {z} {z} {z} {a} {a} {z}",
+            f"  qsw\t{z} {a} {z} {z} {a} {z} {z} {a}",
+            f"  qab\t{z} {z} {a} {z} {a} {z} {z} {a}",
+            f"  qaw\t{z} {z} {z} {a} {z} {a} {a} {z}",
+        ]
 
     def test_matrix_format(self, runner, tmp_path):
         path = tmp_path / "m.matrix"

@@ -16,7 +16,7 @@ k = 37, an n11 passes 255, so a seed query's counter carries into its
 ninth plane. They also scale past the per-bit oracles: a keyword corpus
 of the retrieval benchmark's size (n 2000) keeps every seed answer
 under a repeat and a permutation, though each repeat scales the keys of
-the corpus's table memo (``Corpus.transmission``) by k.
+the kernel's table memo (``information.table_score``) by k.
 
 Rule queries keep their answers too, on the planted cases and on that
 keyword corpus: after a k-fold repeat, a query naming one copy of each
@@ -35,7 +35,7 @@ from typing import Callable, Iterator, Sequence
 
 import pytest
 
-from conftest import bits_corpus, keyword_corpus, keyword_rows
+from conftest import bits_corpus, keyword_corpus, keyword_rows, scored_tables
 from polyclust import run
 from polyclust.engine import affinity_matrix
 from polyclust.model import Corpus, Parameters
@@ -150,8 +150,9 @@ def test_complementing_every_bit_keeps_affinities():
     assert formed >= CASES // 2
 
 
-def test_a_retrieval_sized_keyword_corpus_keeps_its_seed_answers():
+def test_a_retrieval_sized_keyword_corpus_keeps_its_seed_answers(monkeypatch):
     vocab = 1536
+    tables = scored_tables(monkeypatch)
     rows = keyword_rows(2000, 2000, vocab, sizes=(6, 14))
     order = list(range(vocab))
     random.Random("metamorphic-keywords").shuffle(order)  # old column f moves to order[f]
@@ -161,9 +162,9 @@ def test_a_retrieval_sized_keyword_corpus_keeps_its_seed_answers():
     want = [retrieve_by_seed(corpus, seed, 20) for seed in range(len(corpus))]
     for other in (repeated, permuted):
         assert [retrieve_by_seed(other, seed, 20) for seed in range(len(corpus))] == want
-    tables = vars(corpus)["_transmissions"]
-    assert {(2 * n11, 2 * a, 2 * b) for n11, a, b in tables} == set(vars(repeated)["_transmissions"])
-    assert len(tables) > 100
+    narrow = {key for key in tables if key[3] == vocab}
+    assert {(2 * n11, 2 * a, 2 * b, 2 * vocab) for n11, a, b, _ in narrow} == tables - narrow
+    assert len(narrow) > 100
 
 
 def rule_corpora() -> Iterator[tuple[list[list[int]], int]]:

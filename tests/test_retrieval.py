@@ -15,14 +15,16 @@ from conftest import (
     keyword_corpus,
     keyword_rows,
     object_pair_table,
+    planted_corpus,
     retrieve_by_seed_scan,
     retrieve_sorted_scan,
+    scored_tables,
 )
 from test_description import two_of_three_field
 from test_golden import random_cases
 from test_model import broken_inputs
 from polyclust import datasets, information, run
-from polyclust.model import Corpus, CorpusError, ObjectInstance, PolymorphousRule
+from polyclust.model import Corpus, CorpusError, ObjectInstance, Parameters, PolymorphousRule
 from polyclust.retrieval import PolymorphousQuery, retrieve, retrieve_by_seed
 
 
@@ -125,6 +127,56 @@ class TestRuleAndQueryShareOneCheck:
             PolymorphousQuery(m, features)
         assert str(rule_error.value) == rule_message
         assert str(query_error.value) == rule_message.replace("outside [0, ", "outside [1, ")
+
+
+class Index:
+    """An integer type of its own, read through ``operator.index`` only."""
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+
+class TestIntegerArguments:
+    """m, feature ids, seed and k are read through ``operator.index``; bools and floats are refused.
+
+    The TypeError names the value before any work, also where the value
+    is out of range too.
+    """
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda c: retrieve_by_seed(c, 0, 2.5), "k must be an int, not 2.5"),
+            (lambda c: retrieve_by_seed(c, 0, False), "k must be an int, not False"),
+            (lambda c: retrieve_by_seed(c, True, 3), "seed must be an int, not True"),
+            (lambda c: retrieve_by_seed(c, 1.0, 3), "seed must be an int, not 1.0"),
+            (lambda c: retrieve_by_seed(c, 99.5, 0), "seed must be an int, not 99.5"),
+            (lambda c: PolymorphousQuery(1.5, (0, 1, 2)), "m must be an int, not 1.5"),
+            (lambda c: PolymorphousQuery(True, (0, 1)), "m must be an int, not True"),
+            (lambda c: PolymorphousQuery(1, (0.0, 1)), "a feature index must be an int, not 0.0"),
+            (lambda c: PolymorphousQuery(9, (0, -1.0)), "a feature index must be an int, not -1.0"),
+            (lambda c: PolymorphousQuery.resolve(c, 2.0, ("a", "b")), "m must be an int, not 2.0"),
+            (lambda c: PolymorphousRule(1, (0, True), (), (), 0.0), "a feature index must be an int, not True"),
+        ],
+        ids=["k-float", "k-bool", "seed-bool", "seed-float", "seed-float-out-of-range",
+             "m-float", "m-bool", "feature-float", "feature-float-out-of-range",
+             "resolve-m-float", "rule-feature-bool"],
+    )
+    def test_wrong_types_raise_type_error_naming_the_value(self, call, message):
+        corpus = bits_corpus(["110", "011", "111"], features=["a", "b", "c"])
+        with pytest.raises(TypeError) as error:
+            call(corpus)
+        assert str(error.value) == message
+
+    def test_integer_types_are_read_as_ints(self):
+        corpus = bits_corpus(["110", "011", "111"], features=["a", "b", "c"])
+        assert retrieve_by_seed(corpus, Index(0), Index(2)) == retrieve_by_seed(corpus, 0, 2)
+        query = PolymorphousQuery(Index(2), [Index(0), 1])
+        assert query == PolymorphousQuery(2, (0, 1)) and type(query.m) is int
+        assert retrieve(corpus, query) == (0, 2)
 
 
 class TestQueryInvariants:
@@ -422,11 +474,7 @@ def counting_transmissions(monkeypatch) -> list[tuple[int, int, int, int]]:
 
 
 class TestOneTransmissionPerDistinctTable:
-    """A seed query gates one table per distinct (n11, size of the other object).
-
-    Each query runs on its own copy of the corpus, so it starts with an
-    empty table memo and scores every table it meets.
-    """
+    """A seed query asks the kernel for one table per distinct (n11, size of the other object)."""
 
     def test_calls_equal_the_distinct_pairs_of_the_co_occurring_objects(self, monkeypatch):
         calls = counting_transmissions(monkeypatch)
@@ -466,12 +514,18 @@ def seed_tables(corpus: Corpus, seed: int) -> set[tuple[int, int, int]]:
     return tables
 
 
+def positive(n11: int, a: int, b: int, width: int) -> bool:
+    """Whether the gate passes the table: its determinant n11*width - a*b is positive."""
+    return n11 * width > a * b
+
+
 class TestOneScorePerTablePerCorpus:
-    """``Corpus.transmission`` scores each distinct table once per corpus, for every seed query."""
+    """The kernel's memo scores each distinct positive table once, for every corpus and query."""
 
     def test_every_seed_of_a_keyword_corpus_scores_each_table_once(self, monkeypatch):
         corpus = keyword_corpus(keyword_rows(7, 120, 200, sizes=(3, 9)), 200)
-        calls = counting_transmissions(monkeypatch)
+        memo = information.table_score
+        scored = scored_tables(monkeypatch)
         tables: set[tuple[int, int, int]] = set()
         asked = 0
         for seed in range(len(corpus)):
@@ -479,77 +533,110 @@ class TestOneScorePerTablePerCorpus:
             tables |= per_seed
             asked += len(per_seed)
             retrieve_by_seed(corpus, seed, 10)
-        keys = {(n11, *sorted((a, b))) for n11, a, b in tables}
-        assert len(calls) == len(keys) < len(tables)
-        assert {(n11, *sorted((a, b))) for n11, a, b, _ in calls} == keys
-        assert {w for *_, w in calls} == {200}
+        keys = {(n11, *sorted((a, b)), 200) for n11, a, b in tables}
+        assert scored == {key for key in keys if positive(*key)}
+        assert memo.cache_info().misses == len(scored) < len(tables)
         assert asked > 10 * len(keys)
 
     def test_both_orders_of_the_sizes_give_one_float(self):
+        memo = information.table_score
         for width in range(1, 13):
             for a, b in combinations(range(width + 1), 2):
                 for n11 in range(max(0, a + b - width), a + 1):
+                    memo.cache_clear()
                     forward = information.gated_transmission(n11, a, b, width)
-                    assert information.gated_transmission(n11, b, a, width) == forward
-                    corpus = bits_corpus(["0" * width])
-                    assert corpus.transmission(n11, b, a) == forward
-                    assert corpus.transmission(n11, a, b) == forward
-                    assert list(vars(corpus)["_transmissions"].items()) == [((n11, a, b), forward)]
+                    backward = information.gated_transmission(n11, b, a, width)
+                    if positive(n11, a, b, width):
+                        assert backward is forward
+                        assert memo.__wrapped__(n11, b, a, width) == forward
+                        info = memo.cache_info()
+                        assert (info.misses, info.currsize) == (1, 1)
+                    else:
+                        assert forward == backward == 0.0
+                        assert memo.cache_info().currsize == 0
 
     def test_a_retrieval_benchmark_shaped_corpus_scores_at_most_one_call_per_table(self, monkeypatch):
-        """540 seed queries on n 2000, 1536 keywords, 10 a record: at most one call per table.
+        """540 seed queries on n 2000, 1536 keywords, 10 a record: one score per table.
 
         Every record has 10 keywords, so the tables are (n11, 10, 10) for
-        n11 1 to 10. One call per table per query would be over four calls a query.
+        n11 1 to 10. One score per table per query would be over four a query.
         """
         corpus = keyword_corpus(keyword_rows(11, 2000, 1536), 1536)
-        calls = counting_transmissions(monkeypatch)
-        asked: list[tuple[int, int, int]] = []
-        real = Corpus.transmission
-
-        def asking(self: Corpus, n11: int, ones_a: int, ones_b: int) -> float:
-            asked.append((n11, ones_a, ones_b))
-            return real(self, n11, ones_a, ones_b)
-
-        monkeypatch.setattr(Corpus, "transmission", asking)
+        asked = counting_transmissions(monkeypatch)
+        memo = information.table_score
+        scored = scored_tables(monkeypatch)
         rng = random.Random(540)
         queries = 540
         for _ in range(queries):
             retrieve_by_seed(corpus, rng.randrange(len(corpus)), 10)
         assert len(asked) > 4 * queries
-        assert len(calls) == len(set(asked)) <= 10
-        assert {(n11, a, b) for n11, a, b, _ in calls} == set(asked)
+        assert scored == {key for key in asked if positive(*key)}
+        assert memo.cache_info().misses == len(scored) <= 10
 
     def test_corpora_of_equal_sizes_and_other_widths_keep_their_own_scores(self, monkeypatch):
         narrow = bits_corpus(["11000", "10100", "00110"])
         wide = bits_corpus(["110000", "101000", "001100"])
         want = {id(c): [retrieve_by_seed_scan(c, seed, 2) for seed in range(3)] for c in (narrow, wide)}
-        calls = counting_transmissions(monkeypatch)
+        memo = information.table_score
+        scored = scored_tables(monkeypatch)
         for corpus in (narrow, wide, narrow, wide):
             assert [retrieve_by_seed(corpus, seed, 2) for seed in range(3)] == want[id(corpus)]
-        assert sorted(calls) == [(1, 2, 2, 5), (1, 2, 2, 6)]
-        assert 0.0 < narrow.transmission(1, 2, 2) != wide.transmission(1, 2, 2) > 0.0
+        assert sorted(scored) == [(1, 2, 2, 5), (1, 2, 2, 6)]
+        assert memo.cache_info().misses == 2
+        gated = information.gated_transmission
+        assert 0.0 < gated(1, 2, 2, 5) != gated(1, 2, 2, 6) > 0.0
 
     def test_a_warm_memo_answers_as_the_scan_in_any_seed_order(self):
         for corpus in chain(differential_corpora(), wide_corpora()):
             n = len(corpus)
             want = [retrieve_by_seed_scan(corpus, seed, n) for seed in range(n)]
             for order in (range(n), reversed(range(n))):
-                warm = Corpus(corpus.space, corpus.objects)
+                information.table_score.cache_clear()
                 for seed in order:
-                    assert retrieve_by_seed(warm, seed, n) == want[seed], (corpus, seed)
+                    assert retrieve_by_seed(corpus, seed, n) == want[seed], (corpus, seed)
                 for seed in range(n):
-                    assert retrieve_by_seed(warm, seed, n) == want[seed], (corpus, seed)
+                    assert retrieve_by_seed(corpus, seed, n) == want[seed], (corpus, seed)
 
     def test_a_warm_memo_leaves_the_corpus_equal_to_a_fresh_one(self):
+        information.table_score.cache_clear()
         corpus = keyword_corpus(keyword_rows(3, 40, 60), 60)
         for seed in range(len(corpus)):
             retrieve_by_seed(corpus, seed, 5)
-        assert vars(corpus)["_transmissions"]
+        assert information.table_score.cache_info().currsize
+        # the corpus keeps its fields and indices, and no score
+        assert set(vars(corpus)) == {"space", "objects", "feature_index", "size_groups"}
         fresh = keyword_corpus(keyword_rows(3, 40, 60), 60)
-        assert "_transmissions" not in vars(fresh)
         assert corpus == fresh and hash(corpus) == hash(fresh)
         assert repr(corpus) == repr(fresh)
+
+
+class TestClusteringWarmsTheSeedWalk:
+    """After ``engine.run`` on a corpus, its seed queries find every positive table scored.
+
+    The affinity matrix asks the kernel for every pair's table, so a seed
+    query from any object adds no miss to the memo, and every entry is
+    the float the unmemoized body gives.
+    """
+
+    def cases(self) -> Iterator[tuple[Corpus, Parameters]]:
+        for seed in (1, 2, 3):
+            yield planted_corpus(seed, 40)[0], Parameters(0.3, 0.15, 0.5)
+        for seed in (4, 5):
+            yield keyword_corpus(keyword_rows(seed, 60, 90, sizes=(3, 9)), 90), Parameters(0.04, 0.02)
+
+    def test_seed_queries_after_a_job_add_no_miss(self, monkeypatch):
+        memo = information.table_score
+        scored = scored_tables(monkeypatch)
+        for corpus, params in self.cases():
+            run(corpus, params)
+            misses = memo.cache_info().misses
+            n = len(corpus)
+            for seed in range(n):
+                assert retrieve_by_seed(corpus, seed, n) == retrieve_by_seed_scan(corpus, seed, n)
+            assert memo.cache_info().misses == misses
+        assert memo.cache_info().currsize == len(scored) > 100
+        for key in scored:
+            assert memo(*key).hex() == memo.__wrapped__(*key).hex(), key
 
 
 class TestFeatureIndex:
