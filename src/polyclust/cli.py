@@ -43,8 +43,7 @@ def _load_corpus(path: str, fmt: Optional[str], with_title_tokens: bool = False)
     if with_title_tokens and fmt != "refer":
         raise click.UsageError("--with-title-tokens applies to refer input only")
     try:
-        # utf-8-sig drops a leading byte-order mark, which would open the first line
-        text = Path(path).read_text(encoding="utf-8-sig")
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise click.ClickException(f"cannot read {path}: {exc}") from exc
     try:
@@ -93,15 +92,15 @@ def main() -> None:
 @_input_option
 @_format_option
 @click.option(
-    "--cohesion", default=0.4, show_default=True,
+    "--cohesion", default=Parameters.cohesion_threshold, show_default=True,
     help="Minimum within-category mean affinity, in bits.",
 )
 @click.option(
-    "--distinctiveness", default=0.2, show_default=True,
+    "--distinctiveness", default=Parameters.distinctiveness_threshold, show_default=True,
     help="Minimum cohesion margin over every other category, in bits.",
 )
 @click.option(
-    "--alpha", default=0.5, show_default=True,
+    "--alpha", default=Parameters.rule_alpha, show_default=True,
     help="Minimum in-category frequency for a rule feature.",
 )
 @click.option(

@@ -4,8 +4,11 @@ Three input shapes are supported: CSV attribute tables (header row of
 attribute names, optional reserved leading "label" column, empty cell
 means missing), refer-style bibliographic records (blank-line separated;
 `parse_refer` gives their line grammar), and raw binary matrices
-("label,b1,b2,..." rows). CSV and refer input pass through one-hot
-encoding; matrix input maps directly onto a corpus.
+("label,b1,b2,..." rows). Each parser drops one leading byte-order
+mark. CSV and refer input pass through one-hot encoding, which keys each
+cell once: a table cell by its (attribute, value) pair, a keyword by its
+string, a title token by ("title", token). Matrix input maps directly
+onto a corpus.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from collections import Counter
 from collections.abc import Hashable
 from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from . import description
 from .model import Corpus, CorpusError, FeatureSpace, ObjectInstance
@@ -36,11 +39,19 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class Table:
-    """A parsed multi-valued attribute table; empty string means missing."""
+    """A parsed multi-valued attribute table; empty string means missing.
+
+    Each attribute is named once, since (attribute, value) names a feature.
+    """
 
     attributes: tuple[str, ...]
     rows: tuple[tuple[str, ...], ...]
     labels: Optional[tuple[str, ...]] = None
+
+    def __post_init__(self) -> None:
+        twice = [name for name, count in Counter(self.attributes).items() if count > 1]
+        if twice:
+            raise ParseError(f"attribute {twice[0]!r} is named more than once in the header")
 
 
 @dataclass(frozen=True)
@@ -53,8 +64,8 @@ class RefRecord:
 
 
 def _csv_rows(text: str) -> list[tuple[int, list[str]]]:
-    """The non-blank CSV rows as (line number, stripped cells)."""
-    reader = csv.reader(io.StringIO(text))
+    """The non-blank CSV rows as (line number, stripped cells), after any byte-order mark."""
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
     return [
         (reader.line_num, cells)
         for row in reader
@@ -113,6 +124,7 @@ def parse_refer(text: str) -> tuple[RefRecord, ...]:
     Empty and repeated keywords go only after their continuation lines
     are joined; a record left with no keyword is an error naming it.
     """
+    text = text.removeprefix("\ufeff")
     blocks = [b for b in re.split(r"\n\s*\n", text.strip()) if b.strip()]
     if not blocks:
         raise ParseError("empty input: no records")
@@ -176,87 +188,59 @@ def one_hot_encode(
 ) -> Corpus:
     """Expand a parsed table or refer records into a binary corpus.
 
+    Each cell is keyed once: a table cell by its (attribute, value) pair,
+    a keyword by its string, a title token by ("title", token). A tuple
+    key is its own feature; a string key k is the feature (k, k).
     Features appear in first-appearance order (attribute by attribute
     for tables; record by record for keywords). Only values and keywords
     that some object holds become features; those that every object
     holds carry zero transmission and are dropped with a logged notice.
     A keyword named twice in one record counts once. Encoding is one
-    pass over the cells through dict indexes, keyed by the keyword
-    strings themselves, so its time is linear in the corpus size. Each
-    object's row is `bytes`, one byte (0 or 1) per feature. The corpus
-    checks its own invariants when built (`Corpus`).
+    pass over the cells through dict indexes, so its time is linear in
+    the corpus size. Each object's row is `bytes`, one byte (0 or 1) per
+    feature. The corpus checks its own invariants when built (`Corpus`).
     """
     if isinstance(source, Table):
         if with_title_tokens:
             raise ValueError("with_title_tokens applies to refer records only")
-        return _encode_table(source)
-    return _encode_keywords(tuple(source), with_title_tokens=with_title_tokens)
-
-
-def _encode_table(table: Table) -> Corpus:
-    n = len(table.rows)
-    if n == 0:
-        raise CorpusError("empty corpus: table has no rows")
-    per_row = [
-        tuple((col, value) for col, value in enumerate(row) if value) for row in table.rows
-    ]
-    counts = Counter(chain.from_iterable(per_row))  # first-appearance order
-    if not counts:
-        raise CorpusError("empty corpus: no attribute values observed")
-    # attribute by attribute; the stable sort keeps each one's values in first-appearance order
-    ordered = sorted(counts, key=lambda key: key[0])
-    labels = table.labels or tuple(f"row{i + 1}" for i in range(n))
-    ordered_counts = [counts[key] for key in ordered]
-    return _assemble(
-        per_row, ordered, lambda key: (table.attributes[key[0]], key[1]), ordered_counts, labels
-    )
-
-
-def _encode_keywords(
-    records: tuple[RefRecord, ...], *, with_title_tokens: bool
-) -> Corpus:
-    """Keywords are keyed by their strings and title tokens by ("title", token) tuples."""
-    if not records:
-        raise CorpusError("empty corpus: no records")
-    if with_title_tokens:
-        per_record = [
-            dict.fromkeys([(k, k) for k in r.keywords] + [("title", t) for t in title_tokens(r)])
-            for r in records
+        if not source.rows:
+            raise CorpusError("empty corpus: table has no rows")
+        names = source.attributes
+        per_object = [
+            [(names[col], value) for col, value in enumerate(row) if value] for row in source.rows
         ]
+        counts = Counter(chain.from_iterable(per_object))  # first-appearance order
+        if not counts:
+            raise CorpusError("empty corpus: no attribute values observed")
+        # attribute by attribute; the stable sort keeps each one's values in first-appearance order
+        position = {name: col for col, name in enumerate(names)}
+        ordered = sorted(counts, key=lambda key: position[key[0]])
+        labels = source.labels or tuple(f"row{i + 1}" for i in range(len(source.rows)))
     else:
-        per_record = [dict.fromkeys(record.keywords) for record in records]
-    counts = Counter(chain.from_iterable(per_record))  # first-appearance order
-    labels = [record.label for record in records]
-    feature = (lambda key: key) if with_title_tokens else (lambda keyword: (keyword, keyword))
-    return _assemble(per_record, list(counts), feature, list(counts.values()), labels)
-
-
-def _assemble(
-    per_object: Sequence[Iterable[Hashable]],
-    ordered: Sequence[Hashable],
-    feature: Callable[[Hashable], tuple[str, str]],
-    counts: Sequence[int],
-    labels: Sequence[str],
-) -> Corpus:
-    """Drop the features every object holds, then set each object's bits from its own keys.
-
-    ordered[i] is held by counts[i] objects: at least one, since the keys
-    are read from the objects, and none holding a key twice. feature(key)
-    names a key's feature; names are built after the drop, for the kept
-    keys and the drop notices only.
-    """
+        records = tuple(source)
+        if not records:
+            raise CorpusError("empty corpus: no records")
+        per_object = [dict.fromkeys(record.keywords) for record in records]
+        if with_title_tokens:
+            for keys, record in zip(per_object, records):
+                keys.update(dict.fromkeys(("title", token) for token in title_tokens(record)))
+        counts = Counter(chain.from_iterable(per_object))  # first-appearance order
+        ordered = list(counts)
+        labels = [record.label for record in records]
     n = len(per_object)
-    kept: list[int] = []
-    for k, count in enumerate(counts):
-        if count < n:
-            kept.append(k)
+    column: dict[Hashable, int] = {}
+    features: list[tuple[str, str]] = []
+    for key in ordered:
+        feature = key if isinstance(key, tuple) else (key, key)
+        if counts[key] < n:
+            column[key] = len(features)
+            features.append(feature)
         else:
-            logger.info("dropping feature %r: present in all of %d objects", feature(ordered[k]), n)
-    if not kept:
+            logger.info("dropping feature %r: present in all of %d objects", feature, n)
+    if not features:
         raise CorpusError("no informative features: every feature is constant")
-    space = FeatureSpace(tuple(feature(ordered[k]) for k in kept))
-    column = {ordered[k]: j for j, k in enumerate(kept)}
-    zero = bytes(len(kept))
+    space = FeatureSpace(tuple(features))
+    zero = bytes(len(features))
     objects: list[ObjectInstance] = []
     for i, keys in enumerate(per_object):
         bits = bytearray(zero)

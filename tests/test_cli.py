@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 from polyclust import datasets, retrieval
 from polyclust.cli import main
-from polyclust.model import Corpus
+from polyclust.model import Corpus, Parameters
 
 TOY_CSV = """label,a,b,c
 d0,,,
@@ -129,6 +129,18 @@ class TestCluster:
             assert result.exit_code == 2
             assert message in result.output
             assert "cannot read" not in result.output
+
+    @pytest.mark.parametrize(
+        "option, field",
+        [
+            ("cohesion", "cohesion_threshold"),
+            ("distinctiveness", "distinctiveness_threshold"),
+            ("alpha", "rule_alpha"),
+        ],
+    )
+    def test_threshold_default_is_that_of_parameters(self, option, field):
+        (param,) = [p for p in main.commands["cluster"].params if p.name == option]
+        assert param.default == getattr(Parameters(), field)
 
     def test_unknown_flag_exits_2(self, runner, shapes_file):
         result = runner.invoke(main, ["cluster", "--input", shapes_file, "--bogus"])
@@ -438,6 +450,21 @@ class TestCorpusValidation:
         assert "duplicate label 'a' (objects 0 and 2)" in result.output
         # nothing is listed or dumped before the error
         assert "\t" not in result.output
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["cluster"], ["query", "--rule", "1:x"], ["info"]],
+        ids=["cluster", "query-rule", "info"],
+    )
+    @pytest.mark.parametrize(
+        "text", ["a,a\nx,y\nz,w\n", "a,a\nx,y\ny,x\n"], ids=["distinct-cells", "shared-cells"]
+    )
+    def test_attribute_named_twice_exits_1(self, runner, tmp_path, argv, text):
+        path = tmp_path / "twice.csv"
+        path.write_text(text, encoding="utf-8")
+        result = runner.invoke(main, [*argv, "--input", str(path)])
+        assert result.exit_code == 1
+        assert result.output == "Error: attribute 'a' is named more than once in the header\n"
 
     def test_cluster_validates_the_corpus_once(
         self, runner, shapes_file, duplicate_file, monkeypatch

@@ -62,6 +62,20 @@ class TestParseCsv:
         with pytest.raises(ParseError, match="no header"):
             parse_csv("\n\n")
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: parse_csv("a,a\nx,y\nz,w\n"), id="distinct-cells"),
+            pytest.param(lambda: parse_csv("a,a\nx,y\ny,x\n"), id="shared-cells"),
+            pytest.param(lambda: parse_csv("label,a,b,a\nr,x,y,z\n"), id="labelled"),
+            pytest.param(lambda: Table(("a", "a"), (("x", "y"),)), id="hand-built"),
+        ],
+    )
+    def test_attribute_named_twice_is_rejected(self, make):
+        # (attribute, value) names a feature, so the table refuses a repeated attribute
+        with pytest.raises(ParseError, match="attribute 'a' is named more than once"):
+            make()
+
     def test_wide_table_arity_checked_only(self):
         header = ",".join(f"a{i}" for i in range(10))
         row = ",".join(f"v{i}" for i in range(10))
@@ -247,6 +261,11 @@ class TestOneHotEncode:
         )
         assert "imagery" not in title_tokens(record)
 
+    def test_row_longer_than_its_header_raises(self):
+        # a hand-built row's extra cell has no attribute to name its feature
+        with pytest.raises(IndexError):
+            one_hot_encode(Table(("shape",), (("round", "black"), ("square", "white"))))
+
     def test_round_trip_encode_decode(self):
         rng = random.Random(77)
         attributes = ("size", "tone", "edge")
@@ -364,6 +383,34 @@ class TestParseMatrixAgreesWithCellLoopOracle:
             assert got == _parsed(_oracle_parse_matrix, text), text
             outcomes.add("ok" if isinstance(got, Corpus) else got[0])
         assert outcomes == {"ParseError", "ok"}
+
+
+class TestByteOrderMark:
+    """Each parser reads text that opens with U+FEFF exactly as the same text without it."""
+
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            (parse_csv, "label,shape\nx,round\ny,square\n"),
+            (parse_csv, datasets.shapes_text()),
+            (parse_csv, "a,a\nx,y\n"),
+            (parse_matrix, "a,1,0\nb,0,1\n"),
+            (parse_matrix, "\na,1\nb,0\n"),
+            (parse_refer, "% abstract 1\n%# 1: SHARED\n%# 2: ALPHA\n"),
+            (parse_refer, datasets.abstracts_text()),
+            (parse_refer, "%T no keywords\n"),
+        ],
+        ids=[
+            "csv-labels", "csv-shapes", "csv-error", "matrix", "matrix-blank-first-line",
+            "refer", "refer-abstracts", "refer-error",
+        ],
+    )
+    def test_parsed_as_without_the_mark(self, parse, text):
+        assert _parsed(parse, "\ufeff" + text) == _parsed(parse, text)
+
+    def test_only_one_leading_mark_is_dropped(self):
+        table = parse_csv("\ufeff\ufeffshape\nround\n")
+        assert table.attributes == ("\ufeffshape",)
 
 
 class TestParsersStoreBytesRows:
