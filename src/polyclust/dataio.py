@@ -190,7 +190,8 @@ def one_hot_encode(
 
     Each cell is keyed once: a table cell by its (attribute, value) pair,
     a keyword by its string, a title token by ("title", token). A tuple
-    key is its own feature; a string key k is the feature (k, k).
+    key is its own feature; a string key k is the feature (k, k), so the
+    title token "title" takes the key of the keyword "title".
     Features appear in first-appearance order (attribute by attribute
     for tables; record by record for keywords). Only values and keywords
     that some object holds become features; those that every object
@@ -223,7 +224,9 @@ def one_hot_encode(
         per_object = [dict.fromkeys(record.keywords) for record in records]
         if with_title_tokens:
             for keys, record in zip(per_object, records):
-                keys.update(dict.fromkeys(("title", token) for token in title_tokens(record)))
+                # the token "title" names the feature of the keyword "title", so shares its key
+                tokens = title_tokens(record)
+                keys.update(dict.fromkeys(t if t == "title" else ("title", t) for t in tokens))
         counts = Counter(chain.from_iterable(per_object))  # first-appearance order
         ordered = list(counts)
         labels = [record.label for record in records]

@@ -262,9 +262,19 @@ class TestOneHotEncode:
         assert "imagery" not in title_tokens(record)
 
     def test_row_longer_than_its_header_raises(self):
-        # a hand-built row's extra cell has no attribute to name its feature
-        with pytest.raises(IndexError):
+        # a hand-built row's extra cell has no attribute to name its feature; it is not cut
+        with pytest.raises((IndexError, ParseError)):
             one_hot_encode(Table(("shape",), (("round", "black"), ("square", "white"))))
+
+    def test_title_word_title_is_the_feature_of_the_keyword_title(self, caplog):
+        records = (
+            RefRecord("A", "", ("title",)),
+            RefRecord("B", "the title", ("x",)),
+            RefRecord("C", "", ("x",)),
+        )
+        got = _outcome(lambda: one_hot_encode(records, with_title_tokens=True), caplog)
+        assert got == _outcome(lambda: _oracle_encode_keywords(records, True), caplog)
+        assert got[0][0] == (("title", "title"), ("x", "x"), ("title", "the"))
 
     def test_round_trip_encode_decode(self):
         rng = random.Random(77)
