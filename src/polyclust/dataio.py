@@ -190,8 +190,7 @@ def one_hot_encode(
 
     Each cell is keyed once: a table cell by its (attribute, value) pair,
     a keyword by its string, a title token by ("title", token). A tuple
-    key is its own feature; a string key k is the feature (k, k), so the
-    title token "title" takes the key of the keyword "title".
+    key is its own feature; a string key k is the feature (k, k).
     Features appear in first-appearance order (attribute by attribute
     for tables; record by record for keywords). Only values and keywords
     that some object holds become features; those that every object
