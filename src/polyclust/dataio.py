@@ -42,6 +42,7 @@ class Table:
     """A parsed multi-valued attribute table; empty string means missing.
 
     Each attribute is named once, since (attribute, value) names a feature.
+    Each row has one cell per attribute, and labels, if given, one per row.
     """
 
     attributes: tuple[str, ...]
@@ -52,6 +53,12 @@ class Table:
         twice = [name for name, count in Counter(self.attributes).items() if count > 1]
         if twice:
             raise ParseError(f"attribute {twice[0]!r} is named more than once in the header")
+        width = len(self.attributes)
+        for k, row in enumerate(self.rows, 1):
+            if len(row) != width:
+                raise ParseError(f"row {k} has {len(row)} cells for {width} attributes")
+        if self.labels is not None and len(self.labels) != len(self.rows):
+            raise ParseError(f"{len(self.labels)} labels for {len(self.rows)} rows")
 
 
 @dataclass(frozen=True)

@@ -8,19 +8,19 @@ loop takes the first of object hunting, protoseed hunting and merging
 that finds an action: object hunting falls back to protoseed hunting,
 protoseed hunting to merging, and a merging impasse ends the run.
 
-A hunt only generates keyed candidates, each keyed first by the negated
-cohesion of the category it makes; one acceptance rule, in ``_accept``,
-tests them. It keeps the best-keyed candidate that leaves the whole
-field valid (each cohesion at or above its threshold, each
-cohesion-minus-cross-affinity margin at or above its threshold, both
-compared in ``_holds`` alone), so the final field always satisfies both
-thresholds. The verdict is taken from what a candidate changes: the
-field as it stands is scored once per hunt, and a candidate adds only
-its own cohesion, read from its key, and its cross affinity to each
-category it keeps. Each hunt returns the next field with the step that
-made it, or None at an impasse. Every cohesion, cross affinity and
-prototype comes from one kernel, ``_mean``, which averages the matrix
-over the pairs its caller passes, in order.
+A hunt only generates candidates ``(key, members, replaced)``: a new
+category of members in place of the categories at the indices in
+replaced, none for a protoseed, one for an add and two for a merge,
+keyed first by its negated cohesion. One acceptance rule, in
+``_accept``, keeps the best-keyed candidate that leaves the whole field
+valid (each cohesion and each cohesion-minus-cross-affinity margin at or
+above its threshold, compared in ``_holds`` alone), so the final field
+always satisfies both thresholds. It judges a candidate on what it
+changes: its own cohesion, read from its key, and its cross affinity to
+each category it keeps. ``_apply`` alone makes the step from the winner.
+A hunt returns the next field and its step, or None at an impasse. Every
+cohesion, cross affinity and prototype comes from one kernel, ``_mean``,
+which averages the matrix over the pairs its caller passes, in order.
 
 Selection is greedy and fully deterministic: keys rank candidates by
 the cohesion they reach, ties broken by lowest object id and then
@@ -107,11 +107,8 @@ def _cross_pairs(left: Sequence[int], right: Sequence[int]) -> list[tuple[int, i
     return sorted((min(i, j), max(i, j)) for i in left for j in right)
 
 
-def _new_category(ids: Sequence[int], aff: AffinityMatrix) -> Category:
-    members = tuple(sorted(ids))
-    w = _mean(aff, combinations(members, 2))
-    best = min(members, key=lambda i: (-_mean(aff, ((i, j) for j in members if j != i)), i))
-    return Category(members, w, best)
+def _prototype(members: Sequence[int], aff: AffinityMatrix) -> int:
+    return min(members, key=lambda i: (-_mean(aff, ((i, j) for j in members if j != i)), i))
 
 
 def _holds(cohesion: float, others: Iterable[tuple[float, float]], params: Parameters) -> bool:
@@ -146,34 +143,47 @@ def field_valid(field: ConceptField, corpus: Corpus, params: Parameters) -> Fiel
     return _validity(members, params, affinity_matrix(corpus))
 
 
+Candidate = tuple[tuple[float, int, int], tuple[int, ...], tuple[int, ...]]
+
+
+def _apply(
+    field: ConceptField, aff: AffinityMatrix, candidate: Candidate
+) -> tuple[ConceptField, TraceStep]:
+    """Make the step of a candidate ``(key, members, replaced)``: the only place one is made.
+
+    The new category, of cohesion ``-key[0]``, takes the first replaced
+    index, or comes last; ``len(replaced)`` names the action.
+    """
+    key, members, replaced = candidate
+    position = replaced[0] if replaced else len(field.categories)
+    categories = [c for k, c in enumerate(field.categories) if k not in replaced]
+    categories.insert(position, Category(members, -key[0], _prototype(members, aff)))
+    objects = tuple(sorted(set(members).intersection(field.unclustered)))
+    unclustered = tuple(u for u in field.unclustered if u not in objects)
+    action = ("protoseed", "add", "merge")[len(replaced)]
+    step = TraceStep(action, objects, position, -key[0], replaced if action == "merge" else None)
+    return ConceptField(tuple(categories), unclustered), step
+
+
 def _accept(
-    field: ConceptField,
-    aff: AffinityMatrix,
-    params: Parameters,
-    action: str,
-    candidates: Iterable[tuple[tuple[float, int, int], tuple[int, ...], int, tuple[int, ...]]],
+    field: ConceptField, aff: AffinityMatrix, params: Parameters, candidates: Iterable[Candidate]
 ) -> Optional[tuple[ConceptField, TraceStep]]:
     """The acceptance rule: apply the best-keyed candidate that leaves the field valid.
 
-    A candidate ``(key, members, position, replaced)`` drops the
-    categories at the indices in replaced and puts a new category of
-    members at position; ``-key[0]`` is that category's cohesion,
-    ``_mean(aff, combinations(members, 2))``. Candidates are scanned in
-    the order given; one whose key does not beat the best valid key so
-    far is skipped. The field as it stands is scored once, by
-    ``_validity``; each remaining candidate is judged on what it changes,
-    its own cohesion and its cross affinity to each kept category, read
-    against the kept categories' scores. The verdict is the one
-    ``_validity`` gives the whole candidate field, also on a field that
-    is already invalid. Every other category is reused as it is. None
-    when no candidate is valid.
+    Candidates are scanned in the order given; one whose key does not beat
+    the best valid key so far is skipped. The field as it stands is scored
+    once, by ``_validity``; each remaining candidate is judged on what it
+    changes, its cohesion ``-key[0]`` and its cross affinity to each
+    category it keeps. The verdict is the one ``_validity`` gives the
+    whole candidate field, also on a field that is already invalid. The
+    winner goes to ``_apply``; None when no candidate is valid.
     """
     sets = [c.members for c in field.categories]
     now = _validity(sets, params, aff)
     w, cross = now.cohesions, now.distinctiveness
     best = None
     for candidate in candidates:
-        key, members, position, replaced = candidate
+        key, members, replaced = candidate
         if best is not None and key >= best[0]:
             continue
         kept = [k for k in range(len(sets)) if k not in replaced]
@@ -183,17 +193,7 @@ def _accept(
         )
         if kept_valid and _holds(-key[0], row, params):
             best = candidate
-    if best is None:
-        return None
-    _, members, position, replaced = best
-    new = _new_category(members, aff)
-    categories = [c for k, c in enumerate(field.categories) if k not in replaced]
-    categories.insert(position, new)
-    objects = tuple(sorted(set(members).intersection(field.unclustered)))
-    unclustered = tuple(u for u in field.unclustered if u not in objects)
-    merged_from = replaced if action == "merge" else None
-    step = TraceStep(action, objects, position, new.cohesion, merged_from)
-    return ConceptField(tuple(categories), unclustered), step
+    return None if best is None else _apply(field, aff, best)
 
 
 def protoseed_hunt(
@@ -212,8 +212,7 @@ def protoseed_hunt(
     if pair is None or aff[pair[0]][pair[1]] <= 0.0:
         return None
     i, j = pair
-    candidate = ((-aff[i][j], i, j), pair, len(field.categories), ())
-    return _accept(field, aff, params, "protoseed", [candidate])
+    return _accept(field, aff, params, [((-aff[i][j], i, j), pair, ())])
 
 
 def object_hunt(
@@ -231,9 +230,9 @@ def object_hunt(
         for idx, cat in enumerate(field.categories):
             for obj in field.unclustered:
                 ids = tuple(sorted(cat.members + (obj,)))
-                yield (-_mean(aff, combinations(ids, 2)), obj, idx), ids, idx, (idx,)
+                yield (-_mean(aff, combinations(ids, 2)), obj, idx), ids, (idx,)
 
-    return _accept(field, aff, params, "add", candidates())
+    return _accept(field, aff, params, candidates())
 
 
 def merge_hunt(
@@ -250,9 +249,9 @@ def merge_hunt(
     def candidates():
         for i, j in combinations(range(len(field.categories)), 2):
             merged = tuple(sorted(field.categories[i].members + field.categories[j].members))
-            yield (-_mean(aff, combinations(merged, 2)), i, j), merged, i, (i, j)
+            yield (-_mean(aff, combinations(merged, 2)), i, j), merged, (i, j)
 
-    return _accept(field, aff, params, "merge", candidates())
+    return _accept(field, aff, params, candidates())
 
 
 def run(
@@ -289,7 +288,7 @@ def run(
             on_action(field, step)
 
     validity = _validity([c.members for c in field.categories], params, aff)
-    if field.categories and not validity.ok:
+    if not validity.ok:
         raise AssertionError("engine finished with an invalid field")
 
     clustered = field.clustered()

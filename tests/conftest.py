@@ -520,36 +520,25 @@ def whole_field_accept(
     field: ConceptField,
     aff: engine.AffinityMatrix,
     params: Parameters,
-    action: str,
-    candidates: Iterable[tuple[tuple[float, int, int], tuple[int, ...], int, tuple[int, ...]]],
+    candidates: Iterable[engine.Candidate],
 ) -> Optional[tuple[ConceptField, engine.TraceStep]]:
     """``engine._accept`` with each candidate tested on the whole field it would leave.
 
-    Each candidate whose key beats the best valid key so far is applied to
-    the field's member sets, and ``engine._validity`` scores every
-    cohesion and every pair of the result. The winner is applied as
-    ``engine._accept`` applies it.
+    Each candidate whose key beats the best valid key so far has its
+    members join the field's member sets in place of the replaced ones,
+    and ``engine._validity`` scores every cohesion and every pair of the
+    result, which no order of the sets changes. ``engine._apply`` makes
+    the winner's step.
     """
     best = None
     for candidate in candidates:
-        key, members, position, replaced = candidate
+        key, members, replaced = candidate
         if best is not None and key >= best[0]:
             continue
         member_sets = [c.members for k, c in enumerate(field.categories) if k not in replaced]
-        member_sets.insert(position, members)
-        if engine._validity(member_sets, params, aff).ok:
+        if engine._validity(member_sets + [members], params, aff).ok:
             best = candidate
-    if best is None:
-        return None
-    _, members, position, replaced = best
-    new = engine._new_category(members, aff)
-    categories = [c for k, c in enumerate(field.categories) if k not in replaced]
-    categories.insert(position, new)
-    objects = tuple(sorted(set(members).intersection(field.unclustered)))
-    unclustered = tuple(u for u in field.unclustered if u not in objects)
-    merged_from = replaced if action == "merge" else None
-    step = engine.TraceStep(action, objects, position, new.cohesion, merged_from)
-    return ConceptField(tuple(categories), unclustered), step
+    return None if best is None else engine._apply(field, aff, best)
 
 
 Step = tuple[str, tuple[int, ...], int, Optional[tuple[int, int]]]

@@ -263,8 +263,21 @@ class TestOneHotEncode:
 
     def test_row_longer_than_its_header_raises(self):
         # a hand-built row's extra cell has no attribute to name its feature; it is not cut
-        with pytest.raises((IndexError, ParseError)):
+        with pytest.raises(ParseError, match="row 1 has 2 cells for 1 attributes"):
             one_hot_encode(Table(("shape",), (("round", "black"), ("square", "white"))))
+
+    @pytest.mark.parametrize(
+        "rows, labels, message",
+        [
+            pytest.param((("x",), ("y", "z")), None, "row 1 has 1 cells for 2", id="short-row"),
+            pytest.param((("x", "w"), ("y", "z")), ("r1",), "1 labels for 2 rows", id="few-labels"),
+            pytest.param((("x", "w"),), ("r1", "r2"), "2 labels for 1 rows", id="extra-labels"),
+        ],
+    )
+    def test_hand_built_table_must_match_its_header(self, rows, labels, message):
+        # a short row is not read as missing values, and no label is dropped or lacking
+        with pytest.raises(ParseError, match=message):
+            Table(("a", "b"), rows, labels)
 
     def test_title_word_title_is_the_feature_of_the_keyword_title(self, caplog):
         records = (

@@ -25,7 +25,7 @@ from polyclust import datasets, description, emit_json, engine, information, run
 from polyclust.engine import (
     _cross_pairs,
     _mean,
-    _new_category,
+    _prototype,
     affinity_matrix,
     field_valid,
     merge_hunt,
@@ -300,20 +300,20 @@ class TestAcceptJudgesWhatACandidateChanges:
             for hunt in self.HUNTS:
                 asked = []
 
-                def oracle(field, aff, params, action, candidates):
+                def oracle(field, aff, params, candidates):
                     candidates = list(candidates)
-                    asked.extend((action, c) for c in candidates)
-                    return whole_field_accept(field, aff, params, action, candidates)
+                    asked.extend(candidates)
+                    return whole_field_accept(field, aff, params, candidates)
 
                 with monkeypatch.context() as m:
                     m.setattr(engine, "_accept", oracle)
                     want = hunt(field, aff, params)
                 assert hunt(field, aff, params) == want
-                for action, candidate in asked:
-                    verdict = engine._accept(field, aff, params, action, [candidate])
-                    assert verdict == whole_field_accept(field, aff, params, action, [candidate])
+                for candidate in asked:
+                    verdict = engine._accept(field, aff, params, [candidate])
+                    assert verdict == whole_field_accept(field, aff, params, [candidate])
                     seen["valid" if verdict else "invalid"] += 1
-                    replaced = set(candidate[3])
+                    replaced = set(candidate[2])
                     seen.update({f"kept {f[0]}": 1 for f in failures if not replaced & set(f[1:])})
                 if want is None:
                     continue
@@ -334,20 +334,20 @@ class TestAcceptJudgesWhatACandidateChanges:
 
     def test_every_key_leads_with_the_candidate_cohesion(self, monkeypatch):
         """The verdict reads a candidate's cohesion from its key, bit for bit."""
-        keys: Counter[str] = Counter()
+        keys: Counter[int] = Counter()  # by the number of categories a candidate replaces
         accept = engine._accept
 
-        def spy(field, aff, params, action, candidates):
+        def spy(field, aff, params, candidates):
             candidates = list(candidates)
-            for key, members, _, _ in candidates:
+            for key, members, replaced in candidates:
                 assert key[0].hex() == (-_mean(aff, combinations(members, 2))).hex()
-                keys[action] += 1
-            return accept(field, aff, params, action, candidates)
+                keys[len(replaced)] += 1
+            return accept(field, aff, params, candidates)
 
         monkeypatch.setattr(engine, "_accept", spy)
         for _, corpus, params in TestReferenceEngine.cases():
             run(corpus, params)
-        assert min(keys[action] for action in ("protoseed", "add", "merge")) > 0, keys
+        assert min(keys[replaced] for replaced in range(3)) > 0, keys
 
 
 class TestRun:
@@ -431,6 +431,27 @@ class TestRun:
             assert abs(cat.cohesion - cohesion(objs)) <= 1e-12
             assert cat.best_member == best_member(cat, shapes_corpus)
 
+    def test_each_category_holds_one_cohesion_bit_for_bit(self):
+        """A step's, its category's and the validity's cohesion equal a fresh ``_mean``.
+
+        The text report reads ``validity.cohesions`` and the JSON each
+        category's cohesion, so the two must be one value.
+        """
+        actions: Counter[str] = Counter()
+        for name, corpus, params in TestReferenceEngine.cases():  # the golden random cases and more
+            aff = affinity_matrix(corpus)
+
+            def check(field, step):
+                fresh = [_mean(aff, combinations(c.members, 2)).hex() for c in field.categories]
+                assert [c.cohesion.hex() for c in field.categories] == fresh, name
+                assert step.cohesion.hex() == fresh[step.category], name
+                actions[step.action] += 1
+
+            result = run(corpus, params, on_action=check)
+            want = [c.cohesion.hex() for c in result.field.categories]
+            assert [w.hex() for w in result.validity.cohesions] == want, name
+        assert min(actions[action] for action in ("protoseed", "add", "merge")) > 0, actions
+
     def test_post_run_field_is_valid(self):
         rng = random.Random(4242)
         for _ in range(15):
@@ -440,9 +461,8 @@ class TestRun:
             )
             params = Parameters(rng.uniform(0, 0.4), rng.uniform(0, 0.2))
             result = run(corpus, params)
-            if result.field.categories:
-                assert result.validity.ok
-                assert field_valid(result.field, corpus, params).ok
+            assert result.validity.ok
+            assert field_valid(result.field, corpus, params).ok
 
 
 class TestRunAcceptsAMerge:
@@ -532,18 +552,12 @@ class TestMatrixKernelEqualsObjectOracles:
             assert _mean(aff, _cross_pairs(left, right)) == distinctiveness(left_objs, right_objs)
             assert _mean(aff, _cross_pairs(right, left)) == distinctiveness(right_objs, left_objs)
             assert _mean(aff, _cross_pairs(left, right)) == distinctiveness(right_objs, left_objs)
-            for unsorted, members, objs in (
-                (ids[:cut], left, left_objs),
-                (ids[cut:], right, right_objs),
-            ):
+            for members, objs in ((left, left_objs), (right, right_objs)):
                 if len(members) < 2:
                     continue
                 categories_checked += 1
                 assert _mean(aff, combinations(members, 2)) == cohesion(objs)
-                category = _new_category(unsorted, aff)
-                assert category.members == tuple(members)
-                assert category.cohesion == cohesion(objs)
-                assert category.best_member == best_member(category, corpus)
+                assert _prototype(members, aff) == make_category(corpus, members).best_member
         assert categories_checked >= 300
 
 
