@@ -16,12 +16,11 @@ the seed's features they share, with the corpus's bit-sliced counter
 is fixed for the query, so an object's affinity depends only on its n11
 and its own size, whose groups the same counter gives
 (``Corpus.size_groups``): a query ranks tables, not objects, and asks the
-kernel, ``information.gated_transmission``, once per table. The kernel's
-memo keeps every positive table scored in the process. Replaying the
-benchmark's order at seeds 1 and 2, a ``planted-grow`` or
-``keyword-sparse`` query, which follows a clustering job on its corpus,
-scores no table: the job's affinity matrix scored them all. On
-``retrieval-mix``, which runs no job, 97% of a pass's lookups hit.
+kernel, ``information.gated_transmission``, once per table, n11 = 0
+included. Its gate gives 0.0, unstored, to every table not positively
+associated; its memo keeps every positive table scored in the process,
+so a query that follows a clustering job on its corpus scores no table
+(the README quotes the benchmark's lookup counts).
 """
 
 from __future__ import annotations
@@ -81,14 +80,13 @@ def retrieve_by_seed(
 ) -> tuple[tuple[int, float], ...]:
     """Top-k non-seed objects by affinity to the seed, ties by id.
 
-    ``Corpus.by_count`` groups the other objects by n11, highest first.
-    Each group with n11 > 0 is ANDed with ``Corpus.size_groups`` into one
-    bucket per distinct (n11, size) table, scored by the kernel, bound to
-    a local for the query; the other three cells of a table follow from
-    the two sizes. A group leaves the size groups as soon as every one
-    of its objects is in a bucket. An object that shares no feature has
-    n11 = 0, so its determinant is -n10*n01 <= 0: the count-0 group joins
-    the 0.0 bucket unscored, as do the tables the gate sends to 0.0.
+    ``Corpus.by_count`` groups the other objects by n11, highest first,
+    and each group is ANDed with ``Corpus.size_groups`` into one bucket
+    per distinct (n11, size) table, whose affinity the kernel gives; the
+    other three cells of a table follow from the two sizes. A group
+    leaves the size groups once every one of its objects is in a bucket.
+    The gate gives 0.0, unscored, to every table not positively
+    associated, n11 = 0 (determinant -n10*n01 <= 0) among them.
     Buckets of equal affinity are ORed together, and one walk reads the
     answer: buckets in descending affinity, each lowest id first, until
     k are taken. A seed or k that is a bool or not an integer raises TypeError.
@@ -104,24 +102,14 @@ def retrieve_by_seed(
     score, width = information.gated_transmission, len(corpus.space.features)
     others = ((1 << len(corpus)) - 1) ^ (1 << seed)
     by_affinity: defaultdict[float, int] = defaultdict(int)
-    zero = 0  # every object of affinity 0.0
     for n11, ids in corpus.by_count(present, others):
-        if not n11:
-            zero |= ids
-            break
         for size, of_size in size_groups:
             bucket = ids & of_size
             if bucket:
-                aff = score(n11, own, size, width)
-                if aff:
-                    by_affinity[aff] |= bucket
-                else:
-                    zero |= bucket
+                by_affinity[score(n11, own, size, width)] |= bucket
                 ids ^= bucket
                 if not ids:
                     break
-    if zero:
-        by_affinity[0.0] = zero
     top: list[tuple[int, float]] = []
     for aff in sorted(by_affinity, reverse=True):
         ids = by_affinity[aff]

@@ -16,8 +16,8 @@ affinity matrix, in ``engine``; these are the references it is checked
 against. ``keyword_rows`` and ``keyword_corpus`` build seeded keyword
 corpora of any size straight from keyword ids. ``retrieve_by_seed_scan``
 ranks every object by its own ``information.affinity`` to the seed;
-the program scores only the objects that share a feature with the
-seed, through the corpus's feature index. ``retrieve_sorted_scan``
+the program asks the kernel once per distinct (n11, size) table,
+through the corpus's feature index. ``retrieve_sorted_scan``
 sorts every matching (count, id) pair, against the count groups that
 ``retrieval.retrieve`` reads in order. ``misclassification`` counts a
 rule's false alarms and misses over a field, through
@@ -46,6 +46,9 @@ with the prototype each object copies, for mid-size comparisons with
 ``reference_run``; the benchmark's generator in ``perfbench`` is its own.
 ``scored_tables`` empties the kernel's table memo
 (``information.table_score``) and collects the keys it is asked for.
+``group_average`` is a traditional clustering baseline, group-average
+linkage on exact sums over the engine's affinity matrix, against which
+the engine's categories are compared, not judged.
 """
 
 from __future__ import annotations
@@ -620,6 +623,32 @@ def reference_run(
         trace.append(step)
         unclustered = [u for u in unclustered if u not in step[1]]
     return tuple(trace), tuple((c, prototype(c)) for c in categories), tuple(unclustered)
+
+
+def group_average(aff: Sequence[Sequence[float]], k: int) -> tuple[tuple[int, ...], ...]:
+    """Group-average (UPGMA) clusters over an affinity matrix, merged down to k.
+
+    Agglomerative linkage (Sokal & Michener 1958) over every object: each
+    step merges the two clusters of highest mean cross affinity, ties to
+    the lowest (id, id) pair, a cluster's id being its lowest member. The
+    cross sums are exact ``Fraction``s of the float affinities, kept by
+    the Lance & Williams (1967) recurrence, which for group average is:
+    the sum from c to a merged a + b is the sum to a plus the sum to b.
+    Returns the clusters by id, each member list ascending.
+    """
+    members = {i: [i] for i in range(len(aff))}
+    sums = {(i, j): Fraction(aff[i][j]) for i, j in combinations(range(len(aff)), 2)}
+    while len(members) > k:
+        a, b = max(
+            sums,
+            key=lambda p: (sums[p] / (len(members[p[0]]) * len(members[p[1]])), -p[0], -p[1]),
+        )
+        del sums[a, b]
+        members[a] += members.pop(b)
+        for c in members:
+            if c != a:
+                sums[min(a, c), max(a, c)] += sums.pop((min(b, c), max(b, c)))
+    return tuple(tuple(sorted(m)) for m in members.values())
 
 
 @pytest.fixture(scope="session")

@@ -157,6 +157,12 @@ class TestCluster:
         assert result.exit_code == 1
         assert "line 2" in result.output
 
+    def test_unknown_suffix_without_format_exits_2(self, runner):
+        with runner.isolated_filesystem():
+            result = runner.invoke(main, ["cluster", "--input", "data.txt"])
+        assert result.exit_code == 2
+        assert "Error: cannot infer the input format of 'data.txt'; pass --format\n" in result.output
+
     def test_title_tokens_requires_refer(self, runner, shapes_file):
         result = runner.invoke(
             main, ["cluster", "--input", shapes_file, "--with-title-tokens"]

@@ -62,6 +62,11 @@ class TestParseCsv:
         with pytest.raises(ParseError, match="no header"):
             parse_csv("\n\n")
 
+    def test_header_of_only_a_label_column_defines_no_attributes(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse_csv("label\nx\n")
+        assert str(excinfo.value) == "line 1: header defines no attributes"
+
     @pytest.mark.parametrize(
         "make",
         [
@@ -239,6 +244,21 @@ class TestOneHotEncode:
         assert [a for a, _ in corpus.space.features] == ["ALPHA", "BETA"]
         assert any("SHARED" in message for message in caplog.messages)
 
+    @pytest.mark.parametrize(
+        "source, with_title_tokens, error, message",
+        [
+            pytest.param(Table(("a",), (("x",),)), True, ValueError,
+                         "with_title_tokens applies to refer records only", id="title-tokens-of-a-table"),
+            pytest.param(Table(("a",), ()), False, CorpusError,
+                         "empty corpus: table has no rows", id="table-without-rows"),
+            pytest.param((), False, CorpusError, "empty corpus: no records", id="no-records"),
+        ],
+    )
+    def test_input_it_cannot_encode_is_rejected(self, source, with_title_tokens, error, message):
+        with pytest.raises(error) as excinfo:
+            one_hot_encode(source, with_title_tokens=with_title_tokens)
+        assert str(excinfo.value) == message
+
     def test_all_constant_features_rejected(self):
         with pytest.raises(CorpusError, match="no informative features"):
             one_hot_encode(parse_csv("shape\ncircular\n"))
@@ -348,6 +368,11 @@ class TestParseMatrix:
     def test_empty(self):
         with pytest.raises(ParseError, match="no rows"):
             parse_matrix("")
+
+    def test_row_of_only_a_label_is_rejected(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse_matrix("a\nb\n")
+        assert str(excinfo.value) == "line 1: a matrix row needs a label and at least one bit"
 
 
 def _oracle_parse_matrix(text: str) -> Corpus:

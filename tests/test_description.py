@@ -138,6 +138,14 @@ class TestPolymorphousRule:
         cat = make_category(corpus, (0, 1, 2))
         assert polymorphous_rule(cat, corpus, 0.9, clustered=range(len(corpus))) is None
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.5])
+    def test_alpha_outside_its_range_is_rejected(self, alpha):
+        corpus = bits_corpus(["110", "101", "011"])
+        cat = make_category(corpus, (0, 1, 2))
+        with pytest.raises(ValueError) as excinfo:
+            polymorphous_rule(cat, corpus, alpha, clustered=range(len(corpus)))
+        assert str(excinfo.value) == f"alpha {alpha} outside (0, 1]"
+
     def test_necessary_subset_of_feature_set(self):
         corpus = bits_corpus(["1101", "1011", "1111", "1001"])
         cat = make_category(corpus, (0, 1, 2, 3))

@@ -15,6 +15,7 @@ from conftest import (
     bits_corpus,
     cohesion,
     distinctiveness,
+    group_average,
     make_category,
     margin,
     planted_corpus,
@@ -723,6 +724,39 @@ class TestPlantedRecovery:
         for cat, prototype in zip(categories, majority):
             assert {planted[i] for i in cat.members} == {prototype}
             assert planted[cat.best_member] == prototype
+
+    @pytest.mark.parametrize("seed", [1, 2, 4, 5])
+    def test_each_category_lies_inside_one_group_average_cluster(self, seed):
+        # a record of how the engine compares with a traditional baseline, not a gate on either
+        corpus, planted = planted_corpus(seed, 40)
+        clusters = group_average(affinity_matrix(corpus), 4)
+        misplaced = sum(len(c) - Counter(planted[i] for i in c).most_common(1)[0][1] for c in clusters)
+        assert misplaced == 0
+        for cat in run(corpus, self.PARAMS).field.categories:
+            assert sum(set(cat.members) <= set(c) for c in clusters) == 1
+
+
+class TestGroupAverage:
+    """The baseline merges the pair of highest mean cross affinity, ties to the lowest ids."""
+
+    AFF = (
+        (0.0, 0.5, 0.1, 0.1),
+        (0.5, 0.0, 0.1, 0.3),
+        (0.1, 0.1, 0.0, 0.5),
+        (0.1, 0.3, 0.5, 0.0),
+    )
+
+    def test_merges_by_mean_cross_affinity(self):
+        assert group_average(self.AFF, 4) == ((0,), (1,), (2,), (3,))
+        # (0, 1) and (2, 3) tie at 0.5: the lower pair merges first
+        assert group_average(self.AFF, 3) == ((0, 1), (2,), (3,))
+        assert group_average(self.AFF, 2) == ((0, 1), (2, 3))
+        assert group_average(self.AFF, 1) == ((0, 1, 2, 3),)
+
+    def test_the_mean_is_over_every_cross_pair(self):
+        # 2's mean affinity to (0, 1) is 0.25, below its 0.3 to 3, though its affinity to 1 is 0.5
+        aff = ((0.0, 0.9, 0.0, 0.0), (0.9, 0.0, 0.5, 0.0), (0.0, 0.5, 0.0, 0.3), (0.0, 0.0, 0.3, 0.0))
+        assert group_average(aff, 2) == ((0, 1), (2, 3))
 
 
 class TestMeanKernelOrder:

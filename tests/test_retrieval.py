@@ -474,10 +474,16 @@ def counting_transmissions(monkeypatch) -> list[tuple[int, int, int, int]]:
 
 
 class TestOneTransmissionPerDistinctTable:
-    """A seed query asks the kernel for one table per distinct (n11, size of the other object)."""
+    """A seed query asks the kernel once per distinct (n11, size of the other object), n11 = 0 included.
 
-    def test_calls_equal_the_distinct_pairs_of_the_co_occurring_objects(self, monkeypatch):
+    The gate sends every table with n11 = 0, and every other table not
+    positively associated, to 0.0 before the memo, so ``table_score`` is
+    asked for exactly the positive tables of the co-occurring objects.
+    """
+
+    def test_calls_equal_the_distinct_tables_of_every_other_object(self, monkeypatch):
         calls = counting_transmissions(monkeypatch)
+        scored = scored_tables(monkeypatch)
         corpora = [
             datasets.abstracts_corpus(),
             datasets.abstracts_corpus(with_title_tokens=True),
@@ -487,20 +493,60 @@ class TestOneTransmissionPerDistinctTable:
         for corpus in corpora:
             rows = [obj.bits for obj in corpus.objects]
             for seed, row in enumerate(rows):
+                own, width = sum(row), len(row)
                 shared = {
-                    j: n11
+                    j: sum(x & y for x, y in zip(row, other))
                     for j, other in enumerate(rows)
-                    if j != seed and (n11 := sum(x & y for x, y in zip(row, other)))
+                    if j != seed
                 }
-                pairs = {(n11, sum(rows[j])) for j, n11 in shared.items()}
+                tables = {(n11, sum(rows[j])) for j, n11 in shared.items()}
                 calls.clear()
+                scored.clear()
                 retrieve_by_seed(Corpus(corpus.space, corpus.objects), seed, len(corpus))
-                assert len(calls) == len(pairs), (corpus, seed)
-                assert {(n11, b) for n11, _, b, _ in calls} == pairs, (corpus, seed)
-                assert all(a == sum(row) and w == len(row) for _, a, _, w in calls), seed
-                seen["fewer pairs than objects"] += len(pairs) < len(shared)
-                seen["no co-occurring object"] += not shared
-        assert min(seen.values()) > 0 and len(seen) == 2, seen
+                assert len(calls) == len(tables), (corpus, seed)
+                assert {(n11, b) for n11, _, b, _ in calls} == tables, (corpus, seed)
+                assert all(a == own and w == width for _, a, _, w in calls), seed
+                assert scored == {
+                    (n11, *sorted((own, b)), width)
+                    for n11, b in tables
+                    if n11 and positive(n11, own, b, width)
+                }, (corpus, seed)
+                seen["fewer tables than objects"] += len(tables) < len(shared)
+                seen["no co-occurring object"] += not any(shared.values())
+                seen["a gated co-occurring table"] += any(
+                    n11 and not positive(n11, own, b, width) for n11, b in tables
+                )
+        assert min(seen.values()) > 0 and len(seen) == 3, seen
+
+    # object 1, 1000, shares no feature: every other object is n11 = 0, in
+    # two size groups (2 and 1); object 2, 1011, shares f0 with the seed
+    # 1100 but is gated, as n11·F = 4 <= 2·3, and ties with 0011 and 0001,
+    # which share nothing
+    @pytest.mark.parametrize(
+        "rows, seed, want, asked",
+        [
+            (
+                ["0011", "1000", "0010", "0001", "0011"], 1,
+                ((0, 0.0), (2, 0.0), (3, 0.0), (4, 0.0)),
+                {(0, 1, 2, 4), (0, 1, 1, 4)},
+            ),
+            (
+                ["0011", "1100", "1011", "0001", "1100"], 1,
+                ((4, 1.0), (0, 0.0), (2, 0.0), (3, 0.0)),
+                {(2, 2, 2, 4), (1, 2, 3, 4), (0, 2, 2, 4), (0, 2, 1, 4)},
+            ),
+        ],
+        ids=["seed-shares-nothing", "gated-ties-disjoint"],
+    )
+    def test_zero_affinities_are_gated_and_rank_by_id(self, monkeypatch, rows, seed, want, asked):
+        calls = counting_transmissions(monkeypatch)
+        scored = scored_tables(monkeypatch)
+        corpus = bits_corpus(rows)
+        for k in range(1, len(corpus) + 2):
+            calls.clear()
+            assert retrieve_by_seed(corpus, seed, k) == want[:k], k
+            assert len(calls) == len(asked) and set(calls) == asked, k
+        assert scored == {(n11, a, b, w) for n11, a, b, w in asked if positive(n11, a, b, w)}
 
 
 def seed_tables(corpus: Corpus, seed: int) -> set[tuple[int, int, int]]:
