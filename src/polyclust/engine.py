@@ -8,30 +8,32 @@ loop takes the first of object hunting, protoseed hunting and merging
 that finds an action: object hunting falls back to protoseed hunting,
 protoseed hunting to merging, and a merging impasse ends the run.
 
-A hunt only generates candidates ``(key, members, replaced)``: a new
-category of members in place of the categories at the indices in
-replaced, none for a protoseed, one for an add and two for a merge,
-keyed first by its negated cohesion. One acceptance rule, in
-``_accept``, keeps the best-keyed candidate that leaves the whole field
-valid (each cohesion and each cohesion-minus-cross-affinity margin at or
-above its threshold, compared in ``_holds`` alone), so the final field
-always satisfies both thresholds. It judges a candidate on what it
-changes: its own cohesion, read from its key, and its cross affinity to
-each category it keeps. ``_apply`` alone makes the step from the winner.
-A hunt returns the next field and its step, or None at an impasse. Every
-cohesion, cross affinity and prototype comes from one kernel, ``_mean``,
-which averages the matrix over the pairs its caller passes, in order.
+A hunt only proposes moves ``(added, replaced)``: the unclustered
+objects a new category takes and the indices of the categories it
+replaces, a pair and none for a protoseed, one object and one category
+for an add, no object and two categories for a merge. ``_accept`` alone
+makes each move's members and key and applies one acceptance rule: it
+keeps the best-keyed move that leaves the whole field valid (each
+cohesion and each cohesion-minus-cross-affinity margin at or above its
+threshold, compared in ``_holds`` alone), so the final field always
+satisfies both thresholds. It judges a move on what it changes: its own
+cohesion, read from its key, and its cross affinity to each category it
+keeps. ``_apply`` alone makes the step from the winner. A hunt returns
+the next field and its step, or None at an impasse. Every cohesion,
+cross affinity and prototype comes from one kernel, ``_mean``, which
+averages the matrix over the pairs its caller passes, in order.
 
-Selection is greedy and fully deterministic: keys rank candidates by
-the cohesion they reach, ties broken by lowest object id and then
-lowest category index. Two runs over the same corpus and parameters
-produce identical traces, reports, and serialized output.
+Selection is greedy and fully deterministic. One key ranks every move,
+``(-cohesion, *added, *replaced)``: the highest cohesion wins, ties to
+the lowest object ids and then the lowest category indices. Two runs
+over the same corpus and parameters produce identical traces, reports,
+and serialized output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import description, information
@@ -143,47 +145,56 @@ def field_valid(field: ConceptField, corpus: Corpus, params: Parameters) -> Fiel
     return _validity(members, params, affinity_matrix(corpus))
 
 
-Candidate = tuple[tuple[float, int, int], tuple[int, ...], tuple[int, ...]]
-
-
 def _apply(
-    field: ConceptField, aff: AffinityMatrix, candidate: Candidate
+    field: ConceptField,
+    aff: AffinityMatrix,
+    key: tuple[float, ...],
+    members: tuple[int, ...],
+    added: tuple[int, ...],
+    replaced: tuple[int, ...],
 ) -> tuple[ConceptField, TraceStep]:
-    """Make the step of a candidate ``(key, members, replaced)``: the only place one is made.
+    """Make the step of an accepted move: the only place one is made.
 
-    The new category, of cohesion ``-key[0]``, takes the first replaced
-    index, or comes last; ``len(replaced)`` names the action.
+    The new category of members, of cohesion ``-key[0]``, takes the first
+    replaced index, or comes last; the step's objects are added, and
+    ``len(replaced)`` names the action.
     """
-    key, members, replaced = candidate
+    cohesion = -key[0]
     position = replaced[0] if replaced else len(field.categories)
     categories = [c for k, c in enumerate(field.categories) if k not in replaced]
-    categories.insert(position, Category(members, -key[0], _prototype(members, aff)))
-    objects = tuple(sorted(set(members).intersection(field.unclustered)))
-    unclustered = tuple(u for u in field.unclustered if u not in objects)
+    categories.insert(position, Category(members, cohesion, _prototype(members, aff)))
+    unclustered = tuple(u for u in field.unclustered if u not in added)
     action = ("protoseed", "add", "merge")[len(replaced)]
-    step = TraceStep(action, objects, position, -key[0], replaced if action == "merge" else None)
+    step = TraceStep(action, added, position, cohesion, replaced if action == "merge" else None)
     return ConceptField(tuple(categories), unclustered), step
 
 
 def _accept(
-    field: ConceptField, aff: AffinityMatrix, params: Parameters, candidates: Iterable[Candidate]
+    field: ConceptField,
+    aff: AffinityMatrix,
+    params: Parameters,
+    moves: Iterable[tuple[tuple[int, ...], tuple[int, ...]]],
 ) -> Optional[tuple[ConceptField, TraceStep]]:
-    """The acceptance rule: apply the best-keyed candidate that leaves the field valid.
+    """The acceptance rule: apply the best-keyed move that leaves the field valid.
 
-    Candidates are scanned in the order given; one whose key does not beat
-    the best valid key so far is skipped. The field as it stands is scored
-    once, by ``_validity``; each remaining candidate is judged on what it
-    changes, its cohesion ``-key[0]`` and its cross affinity to each
-    category it keeps. The verdict is the one ``_validity`` gives the
-    whole candidate field, also on a field that is already invalid. The
-    winner goes to ``_apply``; None when no candidate is valid.
+    A move ``(added, replaced)`` makes a category of the added objects
+    and the replaced categories' members, keyed ``(-cohesion, *added,
+    *replaced)``: this is the one statement of the tie rule. Moves are
+    scanned in the order given; one whose key does not beat the best
+    valid key so far is skipped. The field as it stands is scored once,
+    by ``_validity``; each remaining move is judged on what it changes,
+    its cohesion and its cross affinity to each category it keeps. The
+    verdict is the one ``_validity`` gives the whole new field, also on a
+    field that is already invalid. The winner goes to ``_apply``; None
+    when no move is valid.
     """
     sets = [c.members for c in field.categories]
     now = _validity(sets, params, aff)
     w, cross = now.cohesions, now.distinctiveness
     best = None
-    for candidate in candidates:
-        key, members, replaced = candidate
+    for added, replaced in moves:
+        members = tuple(sorted(chain(added, *[sets[k] for k in replaced])))
+        key = (-_mean(aff, combinations(members, 2)), *added, *replaced)
         if best is not None and key >= best[0]:
             continue
         kept = [k for k in range(len(sets)) if k not in replaced]
@@ -192,8 +203,8 @@ def _accept(
             _holds(w[i], ((w[j], cross[i][j]) for j in kept if j > i), params) for i in kept
         )
         if kept_valid and _holds(-key[0], row, params):
-            best = candidate
-    return None if best is None else _apply(field, aff, best)
+            best = key, members, added, replaced
+    return None if best is None else _apply(field, aff, *best)
 
 
 def protoseed_hunt(
@@ -201,18 +212,17 @@ def protoseed_hunt(
 ) -> Optional[tuple[ConceptField, TraceStep]]:
     """Promote the best-affinity unclustered pair to a new, last category.
 
-    The only candidate is the single maximum-affinity pair of the
-    corpus's affinity matrix aff among the field's unclustered objects
-    (ties: lexicographically smallest id pair); a pair of zero affinity
-    is never one. None signals an impasse, also when that pair would
-    leave the field invalid.
+    The only move is the single maximum-affinity pair of the corpus's
+    affinity matrix aff among the field's unclustered objects (ties:
+    lexicographically smallest id pair); a pair of zero affinity is
+    never one. None signals an impasse, also when that pair would leave
+    the field invalid.
     """
     pairs = combinations(sorted(field.unclustered), 2)
     pair = max(pairs, key=lambda p: aff[p[0]][p[1]], default=None)
     if pair is None or aff[pair[0]][pair[1]] <= 0.0:
         return None
-    i, j = pair
-    return _accept(field, aff, params, [((-aff[i][j], i, j), pair, ())])
+    return _accept(field, aff, params, [(pair, ())])
 
 
 def object_hunt(
@@ -220,19 +230,10 @@ def object_hunt(
 ) -> Optional[tuple[ConceptField, TraceStep]]:
     """Add one unclustered object to one category: the best valid addition.
 
-    Candidates are keyed by post-addition cohesion over the corpus's
-    affinity matrix aff, ties by lowest object id, then lowest category
-    index. None signals an impasse, which a field without categories
-    always is.
+    None signals an impasse, which a field without categories always is.
     """
-
-    def candidates():
-        for idx, cat in enumerate(field.categories):
-            for obj in field.unclustered:
-                ids = tuple(sorted(cat.members + (obj,)))
-                yield (-_mean(aff, combinations(ids, 2)), obj, idx), ids, (idx,)
-
-    return _accept(field, aff, params, candidates())
+    moves = (((u,), (k,)) for k in range(len(field.categories)) for u in field.unclustered)
+    return _accept(field, aff, params, moves)
 
 
 def merge_hunt(
@@ -240,18 +241,11 @@ def merge_hunt(
 ) -> Optional[tuple[ConceptField, TraceStep]]:
     """Merge two of the field's categories: the best valid merge.
 
-    Candidates are keyed by merged cohesion over the corpus's affinity
-    matrix aff, ties by lowest index pair (i, j). The merged category
-    takes index i and the later categories shift down. None signals an
-    impasse.
+    The merged category takes the lower index and the later categories
+    shift down. None signals an impasse.
     """
-
-    def candidates():
-        for i, j in combinations(range(len(field.categories)), 2):
-            merged = tuple(sorted(field.categories[i].members + field.categories[j].members))
-            yield (-_mean(aff, combinations(merged, 2)), i, j), merged, (i, j)
-
-    return _accept(field, aff, params, candidates())
+    moves = (((), pair) for pair in combinations(range(len(field.categories)), 2))
+    return _accept(field, aff, params, moves)
 
 
 def run(

@@ -14,9 +14,8 @@ once per process. Its one memo, ``table_score``, is held for the process
 too: each positive table is scored once, keyed by (n11, smaller size,
 larger size, width), and the affinity matrix and every seed query read
 that float. A gated table is not stored, so the memo holds one float per
-distinct positive table per width, at most one per pair of objects:
-1,111 and 1,102 after one benchmark run of ``planted-grow`` at seeds 1
-and 2, 51 and 43 on ``keyword-sparse``, 9 and 10 on ``retrieval-mix``.
+distinct positive table per width, at most one per pair of objects (the
+README gives its size on the benchmark's workloads).
 ``row_entropy`` is a row's entropy from its two counts, which ``info`` prints.
 """
 

@@ -39,10 +39,10 @@ engine's contract followed literally: every candidate of every hunt
 tested, with exact ``Fraction`` means and lowest-id ties, against the
 float sums and the key-order skip of ``engine.run``.
 ``whole_field_accept`` is the engine's acceptance rule testing each
-candidate on its whole field with ``engine._validity``;
-``engine._accept`` scores the field once and judges a candidate on what
-it changes. ``planted_corpus`` builds seeded copies of random prototypes
-with the prototype each object copies, for mid-size comparisons with
+move on its whole field with ``engine._validity``; ``engine._accept``
+scores the field once and judges a move on what it changes.
+``planted_corpus`` builds seeded copies of random prototypes with the
+prototype each object copies, for mid-size comparisons with
 ``reference_run``; the benchmark's generator in ``perfbench`` is its own.
 ``scored_tables`` empties the kernel's table memo
 (``information.table_score``) and collects the keys it is asked for.
@@ -523,25 +523,29 @@ def whole_field_accept(
     field: ConceptField,
     aff: engine.AffinityMatrix,
     params: Parameters,
-    candidates: Iterable[engine.Candidate],
+    moves: Iterable[tuple[tuple[int, ...], tuple[int, ...]]],
 ) -> Optional[tuple[ConceptField, engine.TraceStep]]:
-    """``engine._accept`` with each candidate tested on the whole field it would leave.
+    """``engine._accept`` with each move tested on the whole field it would leave.
 
-    Each candidate whose key beats the best valid key so far has its
-    members join the field's member sets in place of the replaced ones,
-    and ``engine._validity`` scores every cohesion and every pair of the
-    result, which no order of the sets changes. ``engine._apply`` makes
-    the winner's step.
+    A move ``(added, replaced)`` makes a category of the added objects and
+    the replaced categories' members, keyed by its negated cohesion, then
+    added, then replaced. Each move whose key beats the best valid key so
+    far has its members join the field's member sets in place of the
+    replaced ones, and ``engine._validity`` scores every cohesion and
+    every pair of the result, which no order of the sets changes.
+    ``engine._apply`` makes the winner's step.
     """
     best = None
-    for candidate in candidates:
-        key, members, replaced = candidate
+    for added, replaced in moves:
+        taken = [i for k in replaced for i in field.categories[k].members]
+        members = tuple(sorted(added + tuple(taken)))
+        key = (-engine._mean(aff, combinations(members, 2)), *added, *replaced)
         if best is not None and key >= best[0]:
             continue
         member_sets = [c.members for k, c in enumerate(field.categories) if k not in replaced]
         if engine._validity(member_sets + [members], params, aff).ok:
-            best = candidate
-    return None if best is None else engine._apply(field, aff, best)
+            best = key, members, added, replaced
+    return None if best is None else engine._apply(field, aff, *best)
 
 
 Step = tuple[str, tuple[int, ...], int, Optional[tuple[int, int]]]
