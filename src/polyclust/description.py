@@ -2,13 +2,14 @@
 
 All functions are pure views over a finished field; a rule's counts
 read the corpus's feature bitmaps. The report is a stable
-line-oriented text whose structured twin (report_record) mirrors it
-field for field; both use the original input labels throughout.
+line-oriented text and its structured twin (report_record), both
+formatted from one record, ``_record``: the input labels, and each
+category's cohesion and cross affinities from the run's validity.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from .model import Category, ConceptField, Corpus, Parameters, PolymorphousRule
 
@@ -61,19 +62,79 @@ def polymorphous_rule(
     return PolymorphousRule(m, feature_set, necessary, sufficient, rate)
 
 
-def describe_step(step: "TraceStep", corpus: Corpus) -> str:
-    def names(ids: Sequence[int]) -> str:
-        return ", ".join(corpus.objects[i].label for i in ids)
+def _exact(x: float) -> float:
+    return x
 
-    if step.action == "protoseed":
-        head = f"protoseed {{{names(step.objects)}}}"
-    elif step.action == "add":
-        head = f"add {names(step.objects)}"
+
+def _sig9(x: float) -> float:
+    return float(f"{x:.9g}")
+
+
+def _step_record(step: "TraceStep", corpus: Corpus, number: Callable[[float], float]) -> dict:
+    return {
+        "action": step.action,
+        "objects": [corpus.objects[i].label for i in step.objects],
+        "category": step.category,
+        "merged_from": list(step.merged_from) if step.merged_from else None,
+        "cohesion_bits": number(step.cohesion),
+    }
+
+
+def _record(
+    field: ConceptField,
+    corpus: Corpus,
+    validity: "FieldValidity",
+    trace: Sequence["TraceStep"],
+    params: Parameters,
+    number: Callable[[float], float],
+) -> dict:
+    """The report's content: every label resolved, every float passed through number."""
+    labels = corpus.space.labels
+
+    def rule_record(rule: Optional[PolymorphousRule]) -> Optional[dict]:
+        return None if rule is None else {
+            "m": rule.m,
+            "features": [labels[f] for f in rule.feature_set],
+            "necessary": [labels[f] for f in rule.necessary],
+            "sufficient": [labels[f] for f in rule.sufficient],
+            "false_alarm_rate": number(rule.false_alarm_rate),
+        }
+
+    return {
+        "parameters": {
+            "cohesion_threshold": number(params.cohesion_threshold),
+            "distinctiveness_threshold": number(params.distinctiveness_threshold),
+            "rule_alpha": number(params.rule_alpha),
+        },
+        "categories": [
+            {
+                "members": [corpus.objects[i].label for i in cat.members],
+                "best_member": corpus.objects[cat.best_member].label,
+                "rule": rule_record(cat.rule),
+                "cohesion_bits": number(cohesion),
+            }
+            for cat, cohesion in zip(field.categories, validity.cohesions, strict=True)
+        ],
+        "distinctiveness": [[number(v) for v in row] for row in validity.distinctiveness],
+        "unclustered": [corpus.objects[i].label for i in field.unclustered],
+        "trace": [_step_record(step, corpus, number) for step in trace],
+    }
+
+
+def _step_line(step: dict) -> str:
+    objects = ", ".join(step["objects"])
+    if step["action"] == "protoseed":
+        head = f"protoseed {{{objects}}}"
+    elif step["action"] == "add":
+        head = f"add {objects}"
     else:
-        assert step.merged_from is not None
-        i, j = step.merged_from
+        i, j = step["merged_from"]
         head = f"merge categories {i + 1} + {j + 1}"
-    return f"{head} -> category {step.category + 1} (cohesion {step.cohesion:.6f})"
+    return f"{head} -> category {step['category'] + 1} (cohesion {step['cohesion_bits']:.6f})"
+
+
+def describe_step(step: "TraceStep", corpus: Corpus) -> str:
+    return _step_line(_step_record(step, corpus, _exact))
 
 
 def render_report(
@@ -83,112 +144,52 @@ def render_report(
     trace: Sequence["TraceStep"],
     params: Parameters,
 ) -> str:
-    """Render the field as stable, line-oriented text over the input labels."""
-    labels = corpus.space.labels
-    n = len(corpus)
-    lines: list[str] = []
-    if not field.categories:
-        lines.append(f"no categories formed; {n} objects unclustered")
-    else:
-        noun = "category" if len(field.categories) == 1 else "categories"
-        lines.append(
-            f"concept field: {len(field.categories)} {noun}, "
-            f"{len(field.unclustered)} of {n} objects unclustered"
-        )
-    lines.append(
-        f"parameters: cohesion >= {params.cohesion_threshold:.6f}, "
-        f"distinctiveness >= {params.distinctiveness_threshold:.6f}, "
-        f"alpha = {params.rule_alpha:.6f}"
-    )
-    for idx, cat in enumerate(field.categories):
-        lines.append("")
-        lines.append(
-            f"category {idx + 1}: {cat.size} members, "
-            f"cohesion {validity.cohesions[idx]:.6f} bits"
-        )
-        lines.append("  members: " + ", ".join(corpus.objects[i].label for i in cat.members))
-        lines.append(f"  best member: {corpus.objects[cat.best_member].label}")
-        if cat.rule is None:
-            lines.append(
-                f"  rule: none (no feature reaches frequency {params.rule_alpha:.6f})"
-            )
-        else:
-            rule = cat.rule
-            listed = ", ".join(labels[f] for f in rule.feature_set)
-            lines.append(f"  rule: at least {rule.m} out of {{{listed}}}")
-            if rule.necessary:
-                lines.append("  necessary: " + ", ".join(labels[f] for f in rule.necessary))
-            if rule.sufficient:
-                lines.append("  sufficient: " + ", ".join(labels[f] for f in rule.sufficient))
-            lines.append(f"  false alarm rate: {rule.false_alarm_rate:.6f}")
-        margins = [
-            f"vs category {j + 1}: "
-            f"{validity.cohesions[idx] - validity.distinctiveness[idx][j]:.6f}"
-            for j in range(len(field.categories))
-            if j != idx
+    """Render the field as stable, line-oriented text, every float unrounded at .6f."""
+    record = _record(field, corpus, validity, trace, params, _exact)
+    categories, unclustered = record["categories"], record["unclustered"]
+    given, n = record["parameters"], len(corpus)
+    alpha = given["rule_alpha"]
+    if categories:
+        noun = "category" if len(categories) == 1 else "categories"
+        lines = [
+            f"concept field: {len(categories)} {noun}, "
+            f"{len(unclustered)} of {n} objects unclustered"
         ]
+    else:
+        lines = [f"no categories formed; {n} objects unclustered"]
+    lines.append(
+        f"parameters: cohesion >= {given['cohesion_threshold']:.6f}, "
+        f"distinctiveness >= {given['distinctiveness_threshold']:.6f}, "
+        f"alpha = {alpha:.6f}"
+    )
+    for idx, (cat, row) in enumerate(zip(categories, record["distinctiveness"])):
+        cohesion, rule = cat["cohesion_bits"], cat["rule"]
+        lines += [
+            "",
+            f"category {idx + 1}: {len(cat['members'])} members, cohesion {cohesion:.6f} bits",
+            "  members: " + ", ".join(cat["members"]),
+            f"  best member: {cat['best_member']}",
+        ]
+        if rule is None:
+            lines.append(f"  rule: none (no feature reaches frequency {alpha:.6f})")
+        else:
+            lines.append(f"  rule: at least {rule['m']} out of {{{', '.join(rule['features'])}}}")
+            lines += [f"  {kind}: " + ", ".join(rule[kind])
+                      for kind in ("necessary", "sufficient") if rule[kind]]
+            lines.append(f"  false alarm rate: {rule['false_alarm_rate']:.6f}")
+        margins = [f"vs category {j + 1}: {cohesion - cross:.6f}"
+                   for j, cross in enumerate(row) if j != idx]
         if margins:
             lines.append("  margins (bits): " + "; ".join(margins))
-    if field.unclustered:
-        lines.append("")
-        lines.append(
-            "unclustered: " + ", ".join(corpus.objects[i].label for i in field.unclustered)
-        )
-    lines.append("")
-    lines.append(f"trace: {len(trace)} accepted actions")
-    for step_number, step in enumerate(trace, 1):
-        lines.append(f"  {step_number}. {describe_step(step, corpus)}")
+    if unclustered:
+        lines += ["", "unclustered: " + ", ".join(unclustered)]
+    lines += ["", f"trace: {len(record['trace'])} accepted actions"]
+    lines += [f"  {k}. {_step_line(step)}" for k, step in enumerate(record["trace"], 1)]
     return "\n".join(lines) + "\n"
-
-
-def _sig9(x: float) -> float:
-    return float(f"{x:.9g}")
 
 
 def report_record(result: "RunResult") -> dict:
     """Structured twin of the report, with floats rounded to 9 significant digits."""
-    corpus = result.corpus
-    labels = corpus.space.labels
-    categories = []
-    for cat in result.field.categories:
-        rule_record = None
-        if cat.rule is not None:
-            rule_record = {
-                "m": cat.rule.m,
-                "features": [labels[f] for f in cat.rule.feature_set],
-                "necessary": [labels[f] for f in cat.rule.necessary],
-                "sufficient": [labels[f] for f in cat.rule.sufficient],
-                "false_alarm_rate": _sig9(cat.rule.false_alarm_rate),
-            }
-        categories.append(
-            {
-                "members": [corpus.objects[i].label for i in cat.members],
-                "best_member": corpus.objects[cat.best_member].label,
-                "rule": rule_record,
-                "cohesion_bits": _sig9(cat.cohesion),
-            }
-        )
-    trace = []
-    for step in result.trace:
-        trace.append(
-            {
-                "action": step.action,
-                "objects": [corpus.objects[i].label for i in step.objects],
-                "category": step.category,
-                "merged_from": list(step.merged_from) if step.merged_from else None,
-                "cohesion_bits": _sig9(step.cohesion),
-            }
-        )
-    return {
-        "parameters": {
-            "cohesion_threshold": _sig9(result.params.cohesion_threshold),
-            "distinctiveness_threshold": _sig9(result.params.distinctiveness_threshold),
-            "rule_alpha": _sig9(result.params.rule_alpha),
-        },
-        "categories": categories,
-        "distinctiveness": [
-            [_sig9(v) for v in row] for row in result.validity.distinctiveness
-        ],
-        "unclustered": [corpus.objects[i].label for i in result.field.unclustered],
-        "trace": trace,
-    }
+    return _record(
+        result.field, result.corpus, result.validity, result.trace, result.params, _sig9
+    )

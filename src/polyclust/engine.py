@@ -183,14 +183,14 @@ def _accept(
     scanned in the order given; one whose key does not beat the best
     valid key so far is skipped. The field as it stands is scored once,
     by ``_validity``; each remaining move is judged on what it changes,
-    its cohesion and its cross affinity to each category it keeps. The
-    verdict is the one ``_validity`` gives the whole new field, also on a
-    field that is already invalid. The winner goes to ``_apply``; None
-    when no move is valid.
+    its cohesion and its cross affinity to each category it keeps. When
+    the field as it stands is invalid, ``_validity`` judges the kept
+    categories too, so the verdict is the one it gives the whole new
+    field. The winner goes to ``_apply``; None when no move is valid.
     """
     sets = [c.members for c in field.categories]
     now = _validity(sets, params, aff)
-    w, cross = now.cohesions, now.distinctiveness
+    w = now.cohesions
     best = None
     for added, replaced in moves:
         members = tuple(sorted(chain(added, *[sets[k] for k in replaced])))
@@ -199,9 +199,7 @@ def _accept(
             continue
         kept = [k for k in range(len(sets)) if k not in replaced]
         row = [(w[k], _mean(aff, _cross_pairs(members, sets[k]))) for k in kept]
-        kept_valid = now.ok or all(
-            _holds(w[i], ((w[j], cross[i][j]) for j in kept if j > i), params) for i in kept
-        )
+        kept_valid = now.ok or _validity([sets[k] for k in kept], params, aff).ok
         if kept_valid and _holds(-key[0], row, params):
             best = key, members, added, replaced
     return None if best is None else _apply(field, aff, *best)

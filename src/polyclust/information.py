@@ -8,15 +8,15 @@ follows from four counts: the features both objects have (n11), each
 object's number of features (``ObjectInstance.ones``) and the width.
 ``gated_transmission`` is the one kernel: it decides the gate on these
 counts, as ints (the determinant n11*n00 - n10*n01 equals n11*width -
-ones_a*ones_b), and computes the entropies straight from them, each
-``p·log2 p`` term read from ``plogp(width)``, one tuple per width built
-once per process. Its one memo, ``table_score``, is held for the process
-too: each positive table is scored once, keyed by (n11, smaller size,
-larger size, width), and the affinity matrix and every seed query read
-that float. A gated table is not stored, so the memo holds one float per
-distinct positive table per width, at most one per pair of objects (the
-README gives its size on the benchmark's workloads).
-``row_entropy`` is a row's entropy from its two counts, which ``info`` prints.
+ones_a*ones_b), and computes the entropies straight from them. Its one
+memo, ``table_score``, is held for the process: each positive table is
+scored once, keyed by (n11, smaller size, larger size, width), and the
+affinity matrix and every seed query read that float. A gated table is
+not stored, so the memo holds one float per distinct positive table per
+width, at most one per pair of objects (the README gives its size on the
+benchmark's workloads). ``row_entropy`` is a row's entropy from its two
+counts, the one statement of it: ``table_score`` adds two and ``info``
+prints one.
 """
 
 from __future__ import annotations
@@ -32,16 +32,14 @@ if TYPE_CHECKING:
 Bits = float
 
 
-@cache
-def plogp(width: int) -> tuple[float, ...]:
-    """``(c / width) * log2(c / width)`` for c = 0..width, 0 log 0 taken as 0.0; one per width."""
-    return (0.0, *((c / width) * math.log2(c / width) for c in range(1, width + 1)))
+def _plogp(c: int, width: int) -> float:
+    """``(c / width) * log2(c / width)``, 0 log 0 taken as 0.0."""
+    return (c / width) * math.log2(c / width) if c else 0.0
 
 
 def row_entropy(ones: int, width: int) -> Bits:
     """Entropy of a row with ones of its width features set, 0 log 0 taken as 0."""
-    t = plogp(width)
-    return (0.0 - t[ones]) - t[width - ones]
+    return (0.0 - _plogp(ones, width)) - _plogp(width - ones, width)
 
 
 def gated_transmission(n11: int, ones_a: int, ones_b: int, width: int) -> Bits:
@@ -66,10 +64,9 @@ def table_score(n11: int, small: int, large: int, width: int) -> Bits:
     row entropies add commutatively, so either order of the sizes gives
     this float. It is clamped at 0 against rounding.
     """
-    t = plogp(width)
     c0, c1, c2, c3 = sorted((n11, small - n11, large - n11, width - small - large + n11))
-    h = 0.0 - t[c0] - t[c1] - t[c2] - t[c3]
-    value = ((0.0 - t[small]) - t[width - small]) + ((0.0 - t[large]) - t[width - large]) - h
+    h = 0.0 - _plogp(c0, width) - _plogp(c1, width) - _plogp(c2, width) - _plogp(c3, width)
+    value = row_entropy(small, width) + row_entropy(large, width) - h
     return value if value > 0.0 else 0.0
 
 

@@ -94,6 +94,39 @@ class TestCluster:
         assert "[trace] protoseed {csb, csw}" in result.output
 
     @pytest.mark.parametrize(
+        "name, text, thresholds, want",
+        [
+            ("shapes.csv", datasets.shapes_text(), ("0.05", "0.05"), [
+                "protoseed {csb, csw} -> category 1 (cohesion 0.081704)",
+                "add cab -> category 1 (cohesion 0.054469)",
+                "add caw -> category 1 (cohesion 0.054469)",
+            ]),
+            ("merge.matrix", "o0,0,1,1,1\no1,0,1,1,1\no2,1,1,0,1\no3,1,1,0,1\no4,0,1,0,0\n",
+             ("0.2", "0"), [
+                "protoseed {o0, o1} -> category 1 (cohesion 0.811278)",
+                "add o4 -> category 1 (cohesion 0.352130)",
+                "protoseed {o2, o3} -> category 2 (cohesion 0.811278)",
+                "merge categories 1 + 2 -> category 1 (cohesion 0.211278)",
+            ]),
+        ],
+        ids=["shapes", "merge"],
+    )
+    def test_trace_lines_are_exact(self, runner, tmp_path, name, text, thresholds, want):
+        # the output holds the report and stderr, where the merge matrix's
+        # constant feature also puts a warning
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        cohesion, distinctiveness = thresholds
+        result = runner.invoke(
+            main,
+            ["cluster", "--input", str(path), "--cohesion", cohesion,
+             "--distinctiveness", distinctiveness, "--trace"],
+        )
+        assert result.exit_code == 0
+        traced = [line for line in result.output.splitlines() if line.startswith("[trace] ")]
+        assert traced == [f"[trace] {line}" for line in want]
+
+    @pytest.mark.parametrize(
         "flag, value, message",
         [
             *(

@@ -437,8 +437,8 @@ class TestRun:
     def test_each_category_holds_one_cohesion_bit_for_bit(self):
         """A step's, its category's and the validity's cohesion equal a fresh ``_mean``.
 
-        The text report reads ``validity.cohesions`` and the JSON each
-        category's cohesion, so the two must be one value.
+        Both reports read ``validity.cohesions``, and a category's own
+        cohesion must be that value: the field's one statement of it.
         """
         actions: Counter[str] = Counter()
         for name, corpus, params in TestReferenceEngine.cases():  # the golden random cases and more
@@ -454,6 +454,58 @@ class TestRun:
             want = [c.cohesion.hex() for c in result.field.categories]
             assert [w.hex() for w in result.validity.cohesions] == want, name
         assert min(actions[action] for action in ("protoseed", "add", "merge")) > 0, actions
+
+    def test_the_text_report_lists_the_labels_of_its_json_twin(self):
+        """Each label line and trace line of the text holds what ``report_record`` lists.
+
+        Numbers stay out: the text prints unrounded floats at .6f, the JSON
+        9 significant digits.
+        """
+        for name, corpus, params in TestReferenceEngine.cases():
+            result = run(corpus, params)
+            record = description.report_record(result)
+            want = []
+            for cat in record["categories"]:
+                want += ["  members: " + ", ".join(cat["members"]),
+                         "  best member: " + cat["best_member"]]
+                rule = cat["rule"]
+                if rule is None:
+                    want.append("  rule: none")
+                    continue
+                want.append(f"  rule: at least {rule['m']} out of {{{', '.join(rule['features'])}}}")
+                want += [f"  {kind}: " + ", ".join(rule[kind])
+                         for kind in ("necessary", "sufficient") if rule[kind]]
+            if record["unclustered"]:
+                want.append("unclustered: " + ", ".join(record["unclustered"]))
+            for number, step in enumerate(record["trace"], 1):
+                objects = ", ".join(step["objects"])
+                if step["action"] == "protoseed":
+                    head = f"protoseed {{{objects}}}"
+                elif step["action"] == "add":
+                    head = f"add {objects}"
+                else:
+                    i, j = step["merged_from"]
+                    head = f"merge categories {i + 1} + {j + 1}"
+                want.append(f"  {number}. {head} -> category {step['category'] + 1}")
+            got = []
+            for line in result.report.splitlines():
+                if line.startswith("  rule: none ("):
+                    got.append("  rule: none")
+                elif line.startswith(("  members: ", "  best member: ", "  rule: ",
+                                      "  necessary: ", "  sufficient: ", "unclustered: ")):
+                    got.append(line)
+                elif line[2:3].isdigit():
+                    got.append(line.rsplit(" (cohesion ", 1)[0])
+            assert got == want, name
+            lines = result.report.splitlines()
+            categories = sum(line.startswith("category ") for line in lines)
+            assert categories == len(record["categories"]), name
+            assert f"trace: {len(record['trace'])} accepted actions" in lines, name
+            unclustered = len(record["unclustered"])
+            if record["categories"]:
+                assert f", {unclustered} of {len(corpus)} objects unclustered" in lines[0], name
+            else:
+                assert lines[0] == f"no categories formed; {unclustered} objects unclustered", name
 
     def test_post_run_field_is_valid(self):
         rng = random.Random(4242)

@@ -22,7 +22,7 @@ from conftest import (
     table_gated_transmission,
     transmission,
 )
-from polyclust.information import affinity, gated_transmission, plogp, row_entropy, table_score
+from polyclust.information import affinity, gated_transmission, row_entropy, table_score
 from polyclust.model import ObjectInstance
 from polyclust.retrieval import retrieve_by_seed
 
@@ -84,7 +84,7 @@ class TestEntropy:
 
 
 class TestPLogPTable:
-    """``plogp(width)``: the p·log2 p of every count at one width, built once per width."""
+    """The p·log2 p terms of a row's entropy, computed where they are used."""
 
     @pytest.mark.parametrize("width", [40, 580, 1536])
     def test_row_entropy_bit_for_bit_at_the_benchmark_widths(self, width):
@@ -92,29 +92,16 @@ class TestPLogPTable:
             got, want = row_entropy(ones, width), entropy([ones, width - ones])
             assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), ones
 
-    def test_each_entry_is_its_count_over_the_width_times_its_log(self):
-        for width in (1, 2, 3, 40):
-            table = plogp(width)
-            assert len(table) == width + 1
-            assert table[0] == 0.0 and math.copysign(1.0, table[0]) == 1.0
-            assert table[1:] == tuple((c / width) * math.log2(c / width) for c in range(1, width + 1))
-
-    def test_one_table_per_width_for_both_kernels_and_every_corpus(self):
-        plogp.cache_clear()
+    def test_the_table_memo_fills_across_corpora(self):
         table_score.cache_clear()
         width = 97
-        row_entropy(3, width)
         assert gated_transmission(5, 10, 12, width) > 0.0
-        assert plogp.cache_info()[:2] == (1, 1)  # (hits, misses)
         for seed in (1, 2):
             scored = table_score.cache_info().misses
             corpus = keyword_corpus(keyword_rows(seed, 40, width, sizes=(3, 12)), width)
             for obj in corpus.objects:
                 retrieve_by_seed(corpus, obj.id, 5)
             assert table_score.cache_info().misses > scored + 1
-        assert plogp.cache_info().misses == 1
-        row_entropy(3, width + 1)
-        assert plogp.cache_info().misses == 2
 
 
 class TestPairTable:
