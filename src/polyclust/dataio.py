@@ -119,17 +119,20 @@ def parse_refer(text: str) -> tuple[RefRecord, ...]:
     """Parse refer-style records separated by blank lines.
 
     Each stripped, non-blank line of a record is read once, by its first
-    two characters:
-    - "%#" is a keyword: the text after the first colon, or all of it
-      when there is none;
-    - "%" then one ASCII letter, then the end of the line or whitespace,
-      is a field code, of which only %T (the title) is kept;
-    - any other "%" line is a comment;
-    - a line without "%" continues the keyword, title or comment above.
-    The label is the comment's "abstract N" phrase (the one ending the
-    comment, else the first), else the comment, the title or "record N".
-    Empty and repeated keywords go only after their continuation lines
-    are joined; a record left with no keyword is an error naming it.
+    two characters. A "%" line starts a part:
+    - "%#" a keyword: the text after the first colon, or all of it when
+      there is none;
+    - "%T" a title part, while "%" then any other ASCII letter, then the
+      end of the line or whitespace, is a field code that starts none;
+    - any other "%" line a comment part.
+    A line without "%" extends the last part, whatever its kind; it is
+    dropped after a field code that starts none or before any part.
+    The title and the comment are their non-empty parts joined by a
+    space. The label is the comment's "abstract N" phrase (the one
+    ending the comment, else the first), else the comment, the title or
+    "record N". Empty and repeated keywords go only after their
+    continuation lines are joined; a record left with no keyword is an
+    error naming it.
     """
     text = text.removeprefix("\ufeff")
     blocks = [b for b in re.split(r"\n\s*\n", text.strip()) if b.strip()]
@@ -137,36 +140,28 @@ def parse_refer(text: str) -> tuple[RefRecord, ...]:
         raise ParseError("empty input: no records")
     records: list[RefRecord] = []
     for position, block in enumerate(blocks, 1):
-        comment = title = ""
         keywords: list[str] = []
-        last: Optional[str] = None
+        titles: list[str] = []
+        comments: list[str] = []
+        last = [""]  # a continuation extends last[-1]; a list no field owns is never read
         for raw_line in block.splitlines():
             line = raw_line.strip()
             if not line:
                 continue
             if line[0] != "%":
-                if last == "title":
-                    title = f"{title} {line}".strip()
-                elif last == "keyword":
-                    keywords[-1] = f"{keywords[-1]} {line}".strip()
-                elif last == "comment":
-                    comment = f"{comment} {line}".strip()
+                last[-1] = f"{last[-1]} {line}".strip()
                 continue
             code = line[1:2]
             if code == "#":
                 colon = line.find(":", 2)
-                keywords.append(line[colon + 1 if colon >= 0 else 2 :].strip())
-                last = "keyword"
+                last, part = keywords, line[colon + 1 if colon >= 0 else 2 :]
             elif code.isascii() and code.isalpha() and (len(line) == 2 or line[2].isspace()):
-                if code == "T":
-                    title = f"{title} {line[2:].strip()}".strip()
-                    last = "title"
-                else:
-                    last = None
+                last, part = (titles if code == "T" else []), line[2:]
             else:
-                body = line[1:].strip()
-                comment = f"{comment} {body}".strip() if comment else body
-                last = "comment"
+                last, part = comments, line[1:]
+            last.append(part.strip())
+        title = " ".join(filter(None, titles))
+        comment = " ".join(filter(None, comments))
         found = "abstract" in comment and (_LABEL_AT_END.search(comment) or _LABEL.search(comment))
         default = comment or title or f"record {position}"
         label = " ".join(found.group(0).split()) if found else default

@@ -185,13 +185,15 @@ def _accept(
     by ``_validity``; each remaining move is judged on what it changes,
     its cohesion and its cross affinity to each category it keeps. When
     the field as it stands is invalid, ``_validity`` judges the kept
-    categories too, so the verdict is the one it gives the whole new
-    field. The winner goes to ``_apply``; None when no move is valid.
+    categories too, once per distinct ``replaced``, so the verdict is
+    the one it gives the whole new field. The winner goes to
+    ``_apply``; None when no move is valid.
     """
     sets = [c.members for c in field.categories]
     now = _validity(sets, params, aff)
     w = now.cohesions
     best = None
+    kept_ok: dict[tuple[int, ...], bool] = {}  # replaced -> are the kept categories valid
     for added, replaced in moves:
         members = tuple(sorted(chain(added, *[sets[k] for k in replaced])))
         key = (-_mean(aff, combinations(members, 2)), *added, *replaced)
@@ -199,7 +201,9 @@ def _accept(
             continue
         kept = [k for k in range(len(sets)) if k not in replaced]
         row = [(w[k], _mean(aff, _cross_pairs(members, sets[k]))) for k in kept]
-        kept_valid = now.ok or _validity([sets[k] for k in kept], params, aff).ok
+        kept_valid = now.ok or kept_ok.get(replaced)
+        if kept_valid is None:
+            kept_valid = kept_ok[replaced] = _validity([sets[k] for k in kept], params, aff).ok
         if kept_valid and _holds(-key[0], row, params):
             best = key, members, added, replaced
     return None if best is None else _apply(field, aff, *best)

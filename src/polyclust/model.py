@@ -400,10 +400,6 @@ class Category:
         if self.best_member not in self.members:
             raise ValueError(f"best_member {self.best_member} outside the member set")
 
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
 
 @dataclass(frozen=True)
 class ConceptField:

@@ -141,6 +141,21 @@ class TestParseRefer:
         text = "% rec\n%# 1: MEMORY\n%# 2:\nVISUAL SEARCH\n"
         assert parse_refer(text)[0].keywords == ("MEMORY", "VISUAL SEARCH")
 
+    @pytest.mark.parametrize(
+        "text, label, title",
+        [
+            pytest.param("%T Visual\nsearch\n", "Visual search", "Visual search", id="title"),
+            pytest.param("%T\nVisual search\n", "Visual search", "Visual search", id="empty-title"),
+            pytest.param("%T Visual\n%T search\n", "Visual search", "Visual search", id="two-titles"),
+            pytest.param("% see\nabstract 9\n%T Visual\n", "abstract 9", "Visual", id="comment-label"),
+            pytest.param("%T Visual\n%A Someone\nignored line\n", "Visual", "Visual", id="after-A"),
+            pytest.param("stray line\n%T Visual\n", "Visual", "Visual", id="before-any-part"),
+        ],
+    )
+    def test_a_line_without_percent_extends_the_last_part(self, text, label, title):
+        """Or is dropped after a field code other than %T, or before any "%" line."""
+        assert parse_refer(text + "%# 1: KEY\n") == (RefRecord(label, title, ("KEY",)),)
+
     def test_empty_input(self):
         with pytest.raises(ParseError, match="no records"):
             parse_refer("   \n\n  ")

@@ -353,6 +353,26 @@ class TestAcceptJudgesWhatACandidateChanges:
         assert min(keys[replaced] for replaced in range(3)) > 0, keys
 
 
+def test_accept_on_an_invalid_field_judges_each_replaced_set_once(monkeypatch):
+    """``_validity`` is asked once about the field, then once per distinct ``replaced``."""
+    corpus = bits_corpus(["110010", "110011", "011100", "011101", "101011", "100110", "010111"])
+    aff = affinity_matrix(corpus)
+    field = field_of(corpus, [[0, 1], [2, 3], [4, 5]])
+    params = Parameters(1.0, 0.0)  # no cohesion reaches 1 bit: the field and every move fail
+    moves = [((6,), (k,)) for k in range(3)] * 2 + [((), pair) for pair in combinations(range(3), 2)]
+    calls = []
+    validity = engine._validity
+
+    def spy(member_sets, params, aff):
+        calls.append(member_sets)
+        return validity(member_sets, params, aff)
+
+    monkeypatch.setattr(engine, "_validity", spy)
+    assert engine._accept(field, aff, params, moves) is None
+    assert not validity([c.members for c in field.categories], params, aff).ok
+    assert len(calls) == 1 + len({replaced for _, replaced in moves}) == 7
+
+
 class TestRun:
     def test_single_object_goes_unclustered(self):
         result = run(bits_corpus(["1100"]), DEFAULTS)
