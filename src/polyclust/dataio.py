@@ -132,13 +132,15 @@ def parse_refer(text: str) -> tuple[RefRecord, ...]:
     ending the comment, else the first), else the comment, the title or
     "record N". Empty and repeated keywords go only after their
     continuation lines are joined; a record left with no keyword is an
-    error naming it.
+    error naming it. Each distinct keyword is held as one `str` object
+    across all records, which their encoded feature space then shares.
     """
     text = text.removeprefix("\ufeff")
     blocks = [b for b in re.split(r"\n\s*\n", text.strip()) if b.strip()]
     if not blocks:
         raise ParseError("empty input: no records")
     records: list[RefRecord] = []
+    shared: dict[str, str] = {}  # each distinct keyword's one str object
     for position, block in enumerate(blocks, 1):
         keywords: list[str] = []
         titles: list[str] = []
@@ -169,7 +171,7 @@ def parse_refer(text: str) -> tuple[RefRecord, ...]:
         unique.pop("", None)
         if not unique:
             raise ParseError(f"record {label!r} has no keyword lines (%#)")
-        records.append(RefRecord(label, title, tuple(unique)))
+        records.append(RefRecord(label, title, tuple(map(shared.setdefault, unique, unique))))
     return tuple(records)
 
 
@@ -197,10 +199,14 @@ def one_hot_encode(
     for tables; record by record for keywords). Only values and keywords
     that some object holds become features; those that every object
     holds carry zero transmission and are dropped with a logged notice.
-    A keyword named twice in one record counts once. Encoding is one
-    pass over the cells through dict indexes, so its time is linear in
-    the corpus size. Each object's row is `bytes`, one byte (0 or 1) per
-    feature. The corpus checks its own invariants when built (`Corpus`).
+    Encoding is one pass over the cells through dict indexes, so its
+    time is linear in the corpus size. A refer object's keys are read
+    in place from its record's keywords (plus its title keys, when
+    asked), and the features reuse those str objects; repeats go only
+    where keys are counted, so a keyword named twice in one record
+    counts once and sets its bit twice. Each object's row is `bytes`,
+    one byte (0 or 1) per feature. The corpus checks its own invariants
+    when built (`Corpus`).
     """
     if isinstance(source, Table):
         if with_title_tokens:
@@ -222,13 +228,15 @@ def one_hot_encode(
         records = tuple(source)
         if not records:
             raise CorpusError("empty corpus: no records")
-        per_object = [dict.fromkeys(record.keywords) for record in records]
+        per_object = [record.keywords for record in records]
         if with_title_tokens:
-            for keys, record in zip(per_object, records):
-                # the token "title" names the feature of the keyword "title", so shares its key
-                tokens = title_tokens(record)
-                keys.update(dict.fromkeys(t if t == "title" else ("title", t) for t in tokens))
-        counts = Counter(chain.from_iterable(per_object))  # first-appearance order
+            # the token "title" names the feature of the keyword "title", so shares its key
+            per_object = [
+                (*keys, *(t if t == "title" else ("title", t) for t in title_tokens(record)))
+                for keys, record in zip(per_object, records)
+            ]
+        # first-appearance order; a key named twice in one object counts once
+        counts = Counter(chain.from_iterable(map(dict.fromkeys, per_object)))
         ordered = list(counts)
         labels = [record.label for record in records]
     n = len(per_object)

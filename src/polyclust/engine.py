@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import chain, combinations
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from . import description, information
 from .model import (
@@ -77,18 +77,30 @@ class RunResult:
 
 
 AffinityMatrix = tuple[tuple[float, ...], ...]
+T = TypeVar("T")
+
+
+def _symmetric(items: Sequence[T], score: Callable[[T, T], float]) -> AffinityMatrix:
+    """The symmetric matrix of ``score`` over pairs of items, zero on the diagonal.
+
+    Built row by row as tuples, row i being ``(*column i of the earlier
+    rows, 0.0, *scores for j > i)``: each pair is scored once, in
+    row-major order, its two cells hold one float, and no mutable copy
+    of the matrix is held beside the result.
+    """
+    rows: list[tuple[float, ...]] = []
+    for i, a in enumerate(items):
+        rows.append((*[row[i] for row in rows], 0.0, *[score(a, b) for b in items[i + 1 :]]))
+    return tuple(rows)
 
 
 def affinity_matrix(corpus: Corpus) -> AffinityMatrix:
-    """Symmetric pairwise affinity lookup; the diagonal is unused and zero."""
-    n = len(corpus)
-    rows = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            a = information.affinity(corpus.objects[i], corpus.objects[j])
-            rows[i][j] = a
-            rows[j][i] = a
-    return tuple(tuple(r) for r in rows)
+    """Symmetric pairwise affinity lookup; the diagonal is unused and zero.
+
+    One ``information.affinity`` call per pair, read from the module when
+    the build starts; the matrix is held once, as tuples (``_symmetric``).
+    """
+    return _symmetric(corpus.objects, information.affinity)
 
 
 def _mean(aff: AffinityMatrix, pairs: Iterable[tuple[int, int]]) -> float:
@@ -130,13 +142,11 @@ def _validity(
 ) -> FieldValidity:
     cohesions = tuple(_mean(aff, combinations(s, 2)) for s in member_sets)
     k = len(member_sets)
-    matrix = [[0.0] * k for _ in range(k)]
-    for i, j in combinations(range(k), 2):
-        matrix[i][j] = matrix[j][i] = _mean(aff, _cross_pairs(member_sets[i], member_sets[j]))
+    matrix = _symmetric(member_sets, lambda a, b: _mean(aff, _cross_pairs(a, b)))
     ok = all(
         _holds(cohesions[i], zip(cohesions[i + 1 :], matrix[i][i + 1 :]), params) for i in range(k)
     )
-    return FieldValidity(cohesions, tuple(tuple(row) for row in matrix), ok)
+    return FieldValidity(cohesions, matrix, ok)
 
 
 def field_valid(field: ConceptField, corpus: Corpus, params: Parameters) -> FieldValidity:

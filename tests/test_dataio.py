@@ -129,6 +129,25 @@ class TestParseRefer:
         assert corpus.space.features == (("VISUAL SEARCH", "VISUAL SEARCH"),)
         assert [obj.bits for obj in corpus.objects] == [bytes((1,)), bytes((0,))]
 
+    def test_each_distinct_keyword_is_one_object_the_features_share(self):
+        rng = random.Random("keyword-sharing")
+        vocabulary = [f"TERM {w:02d}" for w in range(30)]
+        text = "\n\n".join(
+            "\n".join(
+                [f"% abstract {i}", f"%T Record {i}"]
+                + [f"%# {k}: {word}" for k, word in enumerate(rng.sample(vocabulary, 6), 1)]
+            )
+            for i in range(40)
+        )
+        records = parse_refer(text)
+        keywords = [k for r in records for k in r.keywords]
+        distinct = set(keywords)
+        assert len(keywords) == 240 and len(distinct) == 30  # most keyword lines repeat one
+        assert len({id(k) for k in keywords}) == len(distinct)
+        features = one_hot_encode(records).space.features
+        assert len(features) == len(distinct)
+        assert {id(part) for feature in features for part in feature} == {id(k) for k in keywords}
+
     def test_continued_keyword_completes_across_lines(self):
         text = "% rec\n%# 1: VISUAL SEARCH\n%# 2: VISUAL\nSEARCH\nTASK\n"
         assert parse_refer(text)[0].keywords == ("VISUAL SEARCH", "VISUAL SEARCH TASK")
@@ -248,6 +267,13 @@ class TestOneHotEncode:
         corpus = one_hot_encode(parse_csv("shape,color\ncircular,black\n,white\n"))
         shape = [f for f, (attr, _) in enumerate(corpus.space.features) if attr == "shape"]
         assert corpus.objects[1].count(shape) == 0
+
+    def test_keyword_named_twice_in_a_built_record_counts_once_and_sets_one_bit(self):
+        # counted per naming, X would seem held by both records and be dropped as constant
+        records = (RefRecord("a", "", ("X", "Y", "X")), RefRecord("b", "", ("Y", "Z")))
+        corpus = one_hot_encode(records)
+        assert corpus.space.features == (("X", "X"), ("Z", "Z"))
+        assert [obj.bits for obj in corpus.objects] == [bytes((1, 0)), bytes((0, 1))]
 
     def test_universal_keyword_dropped_with_notice(self, caplog):
         text = (
@@ -513,6 +539,9 @@ def test_encoded_rows_retain_under_two_bytes_per_cell():
 
     Rows stored as tuples of ints retain more than 8 bytes per cell, one
     pointer each; bytes rows retain one byte plus each object's overhead.
+    Encoding reads each record's keywords where they are, so its peak
+    stays within a quarter of what it retains: a dict of keys per record
+    held beside the rows peaked at about 1.4 times.
     """
     rng = random.Random("memory-guard")
     vocabulary = [f"KEYWORD {i}" for i in range(800)]
@@ -523,12 +552,14 @@ def test_encoded_rows_retain_under_two_bytes_per_cell():
     try:
         before = tracemalloc.get_traced_memory()[0]
         corpus = one_hot_encode(records)
-        retained = tracemalloc.get_traced_memory()[0] - before
+        now, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    retained, peak = now - before, peak - before
     cells = len(corpus) * len(corpus.space)
     assert len(corpus) == 1000 and len(corpus.space) == 800
     assert retained / cells < 2.0, f"{retained / cells:.2f} bytes per object-feature cell"
+    assert peak / retained < 1.25, f"peak {peak} B for {retained} B retained"
 
 
 class TestEmitJson:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -634,6 +635,40 @@ class TestMatrixKernelEqualsObjectOracles:
                 assert _mean(aff, combinations(members, 2)) == cohesion(objs)
                 assert _prototype(members, aff) == make_category(corpus, members).best_member
         assert categories_checked >= 300
+
+
+class TestAffinityMatrixIsBuiltOnce:
+    """Each affinity is computed once and the matrix is held once, as tuples."""
+
+    def test_one_affinity_call_per_pair_in_row_major_order(self, monkeypatch):
+        corpus, _ = planted_corpus(5, 9)
+        calls = []
+        original = information.affinity
+
+        def recording(a, b):
+            calls.append((a.id, b.id))
+            return original(a, b)
+
+        monkeypatch.setattr(information, "affinity", recording)
+        aff = affinity_matrix(corpus)
+        assert calls == list(combinations(range(9), 2))
+        assert all(aff[i][i] == 0.0 for i in range(9))
+        assert all(aff[i][j] is aff[j][i] for i, j in calls)
+
+    def test_peak_memory_is_about_what_the_matrix_retains(self):
+        """A mutable copy of the 150 x 150 matrix beside the result peaked at about twice."""
+        corpus, _ = planted_corpus(7, 150)
+        affinity_matrix(corpus)  # the kernel's memo holds every score before the traced build
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            aff = affinity_matrix(corpus)
+            now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        retained, peak = now - before, peak - before
+        assert len(aff) == 150 and all(type(row) is tuple for row in aff)
+        assert peak / retained <= 1.25, f"peak {peak} B for {retained} B retained"
 
 
 class TestReferenceEngine:
